@@ -80,7 +80,7 @@ func BenchmarkStreamDetectThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sd := detect.NewStreamDetector(d, 0)
+		sd := detect.NewStream(d, detect.StreamConfig{})
 		for _, r := range recs {
 			sd.Consume(r)
 		}

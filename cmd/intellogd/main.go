@@ -47,7 +47,6 @@ func main() {
 		idle       = flag.Duration("idle", 5*time.Minute, "session idle timeout before auto-close (0 disables)")
 		maxSess    = flag.Int("max-sessions", 0, "in-flight session cap per tenant (0 unbounded)")
 		maxMsgs    = flag.Int("max-msgs", 0, "per-session buffered message cap (0 unbounded)")
-		shards     = flag.Int("shards", 0, "stream detector shards per tenant (0 = default)")
 		framework  = flag.String("framework", "spark", "default framework for records that carry none: spark | mapreduce | tez")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "in-flight HTTP request drain budget on shutdown")
 
@@ -89,7 +88,6 @@ func main() {
 			IdleTimeout:    *idle,
 			MaxSessions:    *maxSess,
 			MaxSessionMsgs: *maxMsgs,
-			Shards:         *shards,
 		},
 		DefaultFramework: logging.Framework(*framework),
 		DisableWAL:       !*walOn,

@@ -42,7 +42,7 @@ func TestAnalyticsDeterminism(t *testing.T) {
 
 			ref := analyticsSnapshot(t, c, BatchPath(m.Detector(), c.Records))
 			paths := map[string]*detect.Report{
-				"stream-4":       StreamPath(m.Detector(), c.Records, 4),
+				"stream":         StreamPath(m.Detector(), c.Records),
 				"stream-batched": StreamBatchPath(m.Detector(), c.Records, 64, 4),
 			}
 			resume, err := ResumePath(m, c.Records, len(c.Records)/2)

@@ -122,7 +122,7 @@ func BenchmarkConformanceBatchDetectMatrix(b *testing.B) {
 	})
 }
 
-// BenchmarkConformanceStreamDetect measures the sharded streaming path
+// BenchmarkConformanceStreamDetect measures the streaming path
 // over the same record stream, consumed one record at a time.
 func BenchmarkConformanceStreamDetect(b *testing.B) {
 	c, d := benchSetup(b)
@@ -130,7 +130,7 @@ func BenchmarkConformanceStreamDetect(b *testing.B) {
 	b.ResetTimer()
 	ac := startAllocCount()
 	for i := 0; i < b.N; i++ {
-		sd := detect.NewStream(d, detect.StreamConfig{Shards: 16})
+		sd := detect.NewStream(d, detect.StreamConfig{})
 		for _, r := range c.Records {
 			sd.Consume(r)
 		}

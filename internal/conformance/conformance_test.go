@@ -89,7 +89,7 @@ func TestCorpusDeterminism(t *testing.T) {
 }
 
 // TestDifferentialOracle is the tentpole: over every corpus of the
-// matrix, batch detection, the streaming detector at 1/4/16 shards and a
+// matrix, batch detection, the streaming detector and a
 // checkpoint/kill/resume run must produce byte-identical canonicalized
 // reports.
 func TestDifferentialOracle(t *testing.T) {

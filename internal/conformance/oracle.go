@@ -14,10 +14,9 @@ import (
 )
 
 // The differential oracle: one record stream, several execution paths,
-// one canonical report form. Batch detection, the streaming detector at
-// 1/4/16 shards and a checkpoint/kill/resume run must all reduce to the
-// same canonical bytes — any divergence means a path changed detection
-// semantics.
+// one canonical report form. Batch detection, the streaming detector and
+// a checkpoint/kill/resume run must all reduce to the same canonical
+// bytes — any divergence means a path changed detection semantics.
 
 // Canonicalize renders a report in a canonical byte form: the session
 // count plus every anomaly as its JSON encoding, sorted. Emission order
@@ -80,10 +79,10 @@ func StreamBatchPath(d *detect.Detector, recs []logging.Record, chunk, workers i
 	return &detect.Report{Sessions: rep.Sessions, Anomalies: all}
 }
 
-// StreamPath consumes the stream record by record at the given shard
-// count and combines mid-stream findings with the flush report.
-func StreamPath(d *detect.Detector, recs []logging.Record, shards int) *detect.Report {
-	sd := detect.NewStream(d, detect.StreamConfig{Shards: shards})
+// StreamPath consumes the stream record by record and combines
+// mid-stream findings with the flush report.
+func StreamPath(d *detect.Detector, recs []logging.Record) *detect.Report {
+	sd := detect.NewStream(d, detect.StreamConfig{})
 	var all []detect.Anomaly
 	for _, r := range recs {
 		all = append(all, sd.Consume(r)...)
@@ -132,10 +131,6 @@ func ResumePath(m *core.Model, recs []logging.Record, cut int) (*detect.Report, 
 	return &detect.Report{Sessions: rep.Sessions, Anomalies: all}, nil
 }
 
-// OracleShards are the session-shard counts the streaming oracle
-// exercises.
-var OracleShards = []int{1, 4, 16}
-
 // OracleBatchShards are the worker-shard counts the parallel batch
 // oracle exercises: fixed small counts plus the machine's CPU width.
 // Every count spawns real goroutines (see par.ForEach), so the ordered
@@ -149,10 +144,10 @@ func OracleBatchShards() []int {
 }
 
 // RunOracle runs every execution path over one record stream — batch,
-// sharded-parallel batch at OracleBatchShards, streaming at
-// OracleShards, chunked two-stage streaming, and kill/resume at a seeded
-// random cut — and returns the per-path canonical reports. Callers
-// assert every PathReport.Canon equals the first (the batch reference).
+// sharded-parallel batch at OracleBatchShards, streaming, chunked
+// two-stage streaming, and kill/resume at a seeded random cut — and
+// returns the per-path canonical reports. Callers assert every
+// PathReport.Canon equals the first (the batch reference).
 func RunOracle(m *core.Model, recs []logging.Record, seed int64) ([]PathReport, error) {
 	d := m.Detector()
 	var out []PathReport
@@ -173,10 +168,8 @@ func RunOracle(m *core.Model, recs []logging.Record, seed int64) ([]PathReport, 
 			return nil, err
 		}
 	}
-	for _, shards := range OracleShards {
-		if err := add(fmt.Sprintf("stream-%d", shards), StreamPath(d, recs, shards)); err != nil {
-			return nil, err
-		}
+	if err := add("stream", StreamPath(d, recs)); err != nil {
+		return nil, err
 	}
 	if err := add("stream-batched", StreamBatchPath(d, recs, 64, 4)); err != nil {
 		return nil, err

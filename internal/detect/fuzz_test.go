@@ -2,9 +2,9 @@ package detect
 
 // Native fuzz target for the streaming detector: the fuzzer invents an
 // interleaving of sessions and messages (trained, non-NL, novel, and raw
-// garbage), and the stream paths must (a) match batch detection exactly
-// at 1 and 4 shards, and (b) keep every configured resource cap under a
-// capped configuration without panicking. This is the conformance
+// garbage), and the stream path must (a) match batch detection exactly
+// and (b) keep every configured resource cap under a capped
+// configuration without panicking. This is the conformance
 // package's differential oracle driven by generated interleavings
 // instead of simulated corpora. Run continuously with:
 //
@@ -66,45 +66,10 @@ func FuzzStreamConsume(f *testing.F) {
 			})
 		}
 
-		batch := d.Detect(logging.GroupSessions(recs))
-		want := normalizeAnomalies(t, batch.Anomalies)
-		for _, shards := range []int{1, 4} {
-			s := NewStream(d, StreamConfig{Shards: shards})
-			var streamed []Anomaly
-			for _, r := range recs {
-				streamed = append(streamed, s.Consume(r)...)
-			}
-			rep := s.Flush()
-			streamed = append(streamed, rep.Anomalies...)
-			if rep.Sessions != batch.Sessions {
-				t.Fatalf("shards=%d: stream saw %d sessions, batch %d", shards, rep.Sessions, batch.Sessions)
-			}
-			got := normalizeAnomalies(t, streamed)
-			if len(got) != len(want) {
-				t.Fatalf("shards=%d: stream %d findings, batch %d", shards, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("shards=%d: finding %d differs:\nstream: %s\nbatch:  %s", shards, i, got[i], want[i])
-				}
-			}
-		}
+		assertStreamMatchesBatch(t, d, recs)
 
 		// Capped configuration: caps must hold at every step and the run
 		// must finish cleanly regardless of the interleaving.
-		cfg := StreamConfig{IdleTimeout: 3 * time.Second, MaxSessions: 2, MaxSessionMsgs: 2, Shards: 1}
-		s := NewStream(d, cfg)
-		for _, r := range recs {
-			s.Consume(r)
-			if p := s.Pending(); p > cfg.MaxSessions {
-				t.Fatalf("Pending = %d exceeds MaxSessions %d", p, cfg.MaxSessions)
-			}
-		}
-		for _, ss := range s.State().Sessions {
-			if len(ss.Records) > cfg.MaxSessionMsgs {
-				t.Fatalf("session %q buffered %d messages, cap %d", ss.ID, len(ss.Records), cfg.MaxSessionMsgs)
-			}
-		}
-		s.Flush()
+		consumeCapped(t, d, StreamConfig{IdleTimeout: 3 * time.Second, MaxSessions: 2, MaxSessionMsgs: 2}, recs)
 	})
 }

@@ -63,7 +63,7 @@ func TestAnomalySeqExcludedFromJSON(t *testing.T) {
 // sequence number and the counter never runs backwards.
 func TestAnomalySeqUniqueUnderConcurrency(t *testing.T) {
 	d := fixture(t)
-	s := NewStream(d, StreamConfig{Shards: 4})
+	s := NewStream(d, StreamConfig{})
 	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
 
 	const workers, perWorker = 8, 40

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
 	"sort"
 	"sync"
@@ -30,17 +29,7 @@ type StreamConfig struct {
 	// reached, further matched messages are dropped and a single Overflow
 	// anomaly is emitted for the session. Zero means unbounded.
 	MaxSessionMsgs int
-	// Shards sets the number of session shards (rounded down to a power of
-	// two). Zero picks a default sized for moderate concurrency. When
-	// MaxSessions is set, the shard count never exceeds it, so the global
-	// in-flight bound holds exactly.
-	Shards int
 }
-
-// defaultStreamShards balances lock contention against per-Consume sweep
-// cost; sixteen shards keep eight concurrent producers essentially
-// uncontended.
-const defaultStreamShards = 16
 
 // StreamDetector consumes log records one at a time — the online mode of
 // Fig. 2, where IntelLog "consumes newly incoming logs and automatically
@@ -48,35 +37,24 @@ const defaultStreamShards = 16
 // HW-graph instance checks run when a session ends (explicitly, after
 // IdleTimeout with no records, or when a resource cap forces it closed).
 //
-// Sessions are sharded by ID: Consume, CloseSession, Pending and State
-// are safe for concurrent use, and records of different sessions proceed
-// in parallel. Idle expiry is driven by a per-shard min-heap keyed by
-// last-record time, so consuming a record costs O(log sessions) in the
-// worst case and O(1) when nothing is idle — there is no per-record scan
-// of the session table.
+// Consume, CloseSession, Pending and State are safe for concurrent use:
+// one mutex guards the session table, and the expensive halves of the hot
+// path — resolving a record and the end-of-session checks — run outside
+// it. Idle expiry is driven by a min-heap keyed by last-record time, so
+// consuming a record costs O(log sessions) in the worst case and O(1)
+// when nothing is idle — there is no per-record scan of the session table.
 type StreamDetector struct {
 	cfg StreamConfig
 	d   *Detector
 
-	shards []*streamShard
-	mask   uint64
-	seed   maphash.Seed
-
-	latest   atomic.Int64  // newest record time seen (UnixNano)
-	inFlight atomic.Int64  // sessions currently buffered
-	seen     atomic.Uint64 // sessions ever opened (Report.Sessions)
-	startSeq atomic.Uint64 // session arrival order, survives checkpoints
-	anomSeq  atomic.Uint64 // anomaly emission order (Anomaly.Seq), survives checkpoints
-}
-
-// streamShard owns one slice of the session space. All fields are guarded
-// by mu except earliest, which mirrors the heap top for lock-free staleness
-// checks by other shards' consumers.
-type streamShard struct {
 	mu       sync.Mutex
 	sessions map[string]*sessionBuf
 	heap     expiryHeap
-	earliest atomic.Int64 // heap-top time, or math.MaxInt64 when empty
+	latest   int64  // newest record time seen (UnixNano)
+	seen     uint64 // sessions ever opened (Report.Sessions)
+	startSeq uint64 // session arrival order, survives checkpoints
+
+	anomSeq atomic.Uint64 // anomaly emission order (Anomaly.Seq), survives checkpoints
 }
 
 // sessionBuf accumulates one in-flight session. msgs holds the shared
@@ -179,85 +157,39 @@ func (h *expiryHeap) pop() expiryEntry {
 	return top
 }
 
-// NewStreamDetector wraps a trained Detector for streaming consumption
-// with only an idle timeout configured (the pre-existing constructor).
-func NewStreamDetector(d *Detector, idle time.Duration) *StreamDetector {
-	return NewStream(d, StreamConfig{IdleTimeout: idle})
-}
-
 // NewStream wraps a trained Detector for streaming consumption.
 func NewStream(d *Detector, cfg StreamConfig) *StreamDetector {
-	n := cfg.Shards
-	if n <= 0 {
-		n = defaultStreamShards
+	return &StreamDetector{
+		cfg:      cfg,
+		d:        d,
+		sessions: make(map[string]*sessionBuf),
+		latest:   math.MinInt64,
 	}
-	if cfg.MaxSessions > 0 && n > cfg.MaxSessions {
-		// More shards than the session budget would make the per-shard cap
-		// zero; shrink so every shard can hold at least one session and the
-		// sum of per-shard caps stays within MaxSessions.
-		n = cfg.MaxSessions
-	}
-	// Round down to a power of two for mask addressing.
-	for n&(n-1) != 0 {
-		n &= n - 1
-	}
-	s := &StreamDetector{
-		cfg:    cfg,
-		d:      d,
-		shards: make([]*streamShard, n),
-		mask:   uint64(n - 1),
-		seed:   maphash.MakeSeed(),
-	}
-	for i := range s.shards {
-		sh := &streamShard{sessions: make(map[string]*sessionBuf)}
-		sh.earliest.Store(math.MaxInt64)
-		s.shards[i] = sh
-	}
-	s.latest.Store(math.MinInt64)
-	return s
 }
 
-// shard maps a session ID to its shard.
-func (s *StreamDetector) shard(id string) *streamShard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
-	return s.shards[maphash.String(s.seed, id)&s.mask]
-}
-
-// maxPerShard is the in-flight cap of one shard (0 = unbounded). Shard
-// count never exceeds MaxSessions, so the per-shard quotient is ≥ 1 and
-// the sum over shards never exceeds the global cap.
-func (s *StreamDetector) maxPerShard() int {
-	if s.cfg.MaxSessions <= 0 {
-		return 0
-	}
-	return s.cfg.MaxSessions / len(s.shards)
-}
-
-// trackExpiry reports whether the heaps are maintained at all; with no
-// idle timeout and no session cap they are skipped entirely, so the
+// trackExpiry reports whether the heap is maintained at all; with no
+// idle timeout and no session cap it is skipped entirely, so the
 // hot path carries no scheduling overhead.
 func (s *StreamDetector) trackExpiry() bool {
 	return s.cfg.IdleTimeout > 0 || s.cfg.MaxSessions > 0
 }
 
 // Pending returns the number of in-flight sessions.
-func (s *StreamDetector) Pending() int { return int(s.inFlight.Load()) }
+func (s *StreamDetector) Pending() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sessions)
+}
 
-// ExpiryDepth returns the total number of scheduled expiry-heap entries
-// across shards — an observability hook (the serving layer exports it as
-// a gauge). Lazily invalidated entries are counted until they surface, so
-// the depth can exceed Pending; a steadily growing gap signals a stream
-// whose sessions are touched far more often than they expire.
+// ExpiryDepth returns the number of scheduled expiry-heap entries — an
+// observability hook (the serving layer exports it as a gauge). Lazily
+// invalidated entries are counted until they surface, so the depth can
+// exceed Pending; a steadily growing gap signals a stream whose sessions
+// are touched far more often than they expire.
 func (s *StreamDetector) ExpiryDepth() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.heap)
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.heap)
 }
 
 // AnomalySeq returns the sequence number of the last anomaly stamped
@@ -282,7 +214,11 @@ func (s *StreamDetector) stamp(as []Anomaly) []Anomaly {
 
 // SessionsSeen returns the number of sessions opened since construction
 // (or since the checkpoint the detector was restored from).
-func (s *StreamDetector) SessionsSeen() int { return int(s.seen.Load()) }
+func (s *StreamDetector) SessionsSeen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return int(s.seen)
+}
 
 // Consume processes one record. The returned anomalies are the immediate
 // findings: an unexpected-message report for this record, an overflow
@@ -291,7 +227,7 @@ func (s *StreamDetector) SessionsSeen() int { return int(s.seen.Load()) }
 // is exempt from idle expiry — its arrival proves the session alive, so
 // it can never idle itself out (even with an out-of-order timestamp).
 func (s *StreamDetector) Consume(rec logging.Record) []Anomaly {
-	// Resolve the record before taking any lock; the lookup cache is
+	// Resolve the record before taking the lock; the lookup cache is
 	// concurrency-safe and this is the expensive part of the hot path.
 	key, cl := s.d.lookupRecord(&rec)
 	return s.consumeResolved(rec, key, cl)
@@ -360,45 +296,31 @@ var resolvedScratch = sync.Pool{New: func() any { return new([]resolvedRec) }}
 // clock, buffers (or rejects) the already-resolved record, and collects
 // any sessions the record's timestamp idles out.
 func (s *StreamDetector) consumeResolved(rec logging.Record, key *spell.Key, cl *extract.CachedLookup) []Anomaly {
-	// Advance the stream clock (monotone max of record times).
 	now := rec.Time.UnixNano()
-	latest := s.latest.Load()
-	for now > latest && !s.latest.CompareAndSwap(latest, now) {
-		latest = s.latest.Load()
+	s.mu.Lock()
+	if now > s.latest {
+		s.latest = now // the stream clock: monotone max of record times
 	}
-	if now > latest {
-		latest = now
-	}
-	cutoff := int64(math.MinInt64)
+
+	// Expire idle sessions first: freed capacity may spare an eviction
+	// below. The current session is exempt.
+	var expired []*sessionBuf
+	var evicted *sessionBuf
 	if s.cfg.IdleTimeout > 0 {
-		cutoff = latest - int64(s.cfg.IdleTimeout)
+		expired = s.expireLocked(s.latest-int64(s.cfg.IdleTimeout), rec.SessionID)
 	}
 
-	sh := s.shard(rec.SessionID)
-	sh.mu.Lock()
-
-	// Expire idle sessions in this shard first: freed capacity may spare
-	// an eviction below. The current session is exempt.
-	var expired, evicted []*sessionBuf
-	if s.cfg.IdleTimeout > 0 {
-		expired = sh.expireLocked(cutoff, rec.SessionID)
-		s.inFlight.Add(int64(-len(expired)))
-	}
-
-	buf, ok := sh.sessions[rec.SessionID]
+	buf, ok := s.sessions[rec.SessionID]
 	if !ok {
-		if cap := s.maxPerShard(); cap > 0 && len(sh.sessions) >= cap {
-			if b := sh.evictOldestLocked(); b != nil {
-				evicted = append(evicted, b)
-				s.inFlight.Add(-1)
-			}
+		if max := s.cfg.MaxSessions; max > 0 && len(s.sessions) >= max {
+			evicted = s.evictOldestLocked()
 		}
-		buf = newSessionBuf(rec.SessionID, rec.Framework, rec.Time, s.startSeq.Add(1))
-		sh.sessions[rec.SessionID] = buf
-		s.inFlight.Add(1)
-		s.seen.Add(1)
+		s.startSeq++
+		s.seen++
+		buf = newSessionBuf(rec.SessionID, rec.Framework, rec.Time, s.startSeq)
+		s.sessions[rec.SessionID] = buf
 		if s.trackExpiry() {
-			sh.heap.push(expiryEntry{at: now, id: rec.SessionID})
+			s.heap.push(expiryEntry{at: now, id: rec.SessionID})
 		}
 	} else if rec.Time.After(buf.last) {
 		// The heap entry goes stale here; expireLocked refreshes it lazily
@@ -429,68 +351,42 @@ func (s *StreamDetector) consumeResolved(rec logging.Record, key *spell.Key, cl 
 			buf.times = append(buf.times, rec.Time)
 		}
 	}
+	s.mu.Unlock()
 
-	sh.syncEarliestLocked()
-	sh.mu.Unlock()
-
-	// Finalize outside the lock: the bufs are out of the maps, so they are
+	// Finalize outside the lock: the bufs are out of the table, so they are
 	// exclusively owned here and go back to the pool once checked.
 	var findings []Anomaly
-	for _, b := range evicted {
+	if evicted != nil {
 		findings = append(findings, Anomaly{
-			At:      b.last,
-			Session: b.id, Kind: Overflow,
-			Detail: fmt.Sprintf("session %q force-closed: %d in-flight sessions reached the cap", b.id, s.cfg.MaxSessions),
+			At:      evicted.last,
+			Session: evicted.id, Kind: Overflow,
+			Detail: fmt.Sprintf("session %q force-closed: %d in-flight sessions reached the cap", evicted.id, s.cfg.MaxSessions),
 		})
-		findings = append(findings, s.finalize(b)...)
-		releaseSessionBuf(b)
+		findings = append(findings, s.finalize(evicted)...)
+		releaseSessionBuf(evicted)
 	}
 	for _, b := range expired {
 		findings = append(findings, s.finalize(b)...)
 		releaseSessionBuf(b)
 	}
-	out = append(findings, out...)
-
-	// Sweep the other shards for idle sessions. The per-shard earliest
-	// mirror makes the common case a lock-free load per shard; a shard is
-	// only locked when its oldest entry is actually past the cutoff.
-	if s.cfg.IdleTimeout > 0 {
-		for _, o := range s.shards {
-			if o == sh || o.earliest.Load() >= cutoff {
-				continue
-			}
-			o.mu.Lock()
-			stale := o.expireLocked(cutoff, "")
-			s.inFlight.Add(int64(-len(stale)))
-			o.syncEarliestLocked()
-			o.mu.Unlock()
-			for _, b := range stale {
-				out = append(out, s.finalize(b)...)
-				releaseSessionBuf(b)
-			}
-		}
-	}
-	return s.stamp(out)
+	return s.stamp(append(findings, out...))
 }
 
-// expireLocked removes and returns every session whose last record is
-// older than cutoff, skipping exempt. Stale heap entries (their session
-// was touched or closed since the push) are dropped or refreshed as they
-// surface. Caller holds sh.mu.
-func (sh *streamShard) expireLocked(cutoff int64, exempt string) []*sessionBuf {
+// expireLocked removes and returns, oldest first, every session whose
+// last record is older than cutoff, skipping exempt. Stale heap entries
+// (their session was touched or closed since the push) are dropped or
+// refreshed as they surface. Caller holds s.mu.
+func (s *StreamDetector) expireLocked(cutoff int64, exempt string) []*sessionBuf {
 	var out []*sessionBuf
 	var deferred *expiryEntry
-	for len(sh.heap) > 0 {
-		if sh.heap[0].at >= cutoff {
-			break
-		}
-		e := sh.heap.pop()
-		buf := sh.sessions[e.id]
+	for len(s.heap) > 0 && s.heap[0].at < cutoff {
+		e := s.heap.pop()
+		buf := s.sessions[e.id]
 		if buf == nil {
 			continue // session closed since the entry was pushed
 		}
 		if last := buf.last.UnixNano(); last > e.at {
-			sh.heap.push(expiryEntry{at: last, id: e.id}) // refresh stale entry
+			s.heap.push(expiryEntry{at: last, id: e.id}) // refresh stale entry
 			continue
 		}
 		if e.id == exempt {
@@ -500,42 +396,32 @@ func (sh *streamShard) expireLocked(cutoff int64, exempt string) []*sessionBuf {
 			deferred = &e
 			continue
 		}
-		delete(sh.sessions, e.id)
+		delete(s.sessions, e.id)
 		out = append(out, buf)
 	}
 	if deferred != nil {
-		sh.heap.push(*deferred)
+		s.heap.push(*deferred)
 	}
 	return out
 }
 
 // evictOldestLocked removes and returns the longest-idle session, or nil
-// if the shard is empty. Caller holds sh.mu.
-func (sh *streamShard) evictOldestLocked() *sessionBuf {
-	for len(sh.heap) > 0 {
-		e := sh.heap.pop()
-		buf := sh.sessions[e.id]
+// if none is scheduled. Caller holds s.mu.
+func (s *StreamDetector) evictOldestLocked() *sessionBuf {
+	for len(s.heap) > 0 {
+		e := s.heap.pop()
+		buf := s.sessions[e.id]
 		if buf == nil {
 			continue
 		}
 		if last := buf.last.UnixNano(); last > e.at {
-			sh.heap.push(expiryEntry{at: last, id: e.id})
+			s.heap.push(expiryEntry{at: last, id: e.id})
 			continue
 		}
-		delete(sh.sessions, e.id)
+		delete(s.sessions, e.id)
 		return buf
 	}
 	return nil
-}
-
-// syncEarliestLocked publishes the heap top for lock-free staleness
-// checks. Caller holds sh.mu.
-func (sh *streamShard) syncEarliestLocked() {
-	if len(sh.heap) == 0 {
-		sh.earliest.Store(math.MaxInt64)
-		return
-	}
-	sh.earliest.Store(sh.heap[0].at)
 }
 
 // finalize runs the end-of-session structural checks on an owned buffer.
@@ -547,14 +433,10 @@ func (s *StreamDetector) finalize(buf *sessionBuf) []Anomaly {
 
 // CloseSession finalizes one session and returns its structural findings.
 func (s *StreamDetector) CloseSession(id string) []Anomaly {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	buf, ok := sh.sessions[id]
-	if ok {
-		delete(sh.sessions, id)
-		s.inFlight.Add(-1)
-	}
-	sh.mu.Unlock()
+	s.mu.Lock()
+	buf, ok := s.sessions[id]
+	delete(s.sessions, id)
+	s.mu.Unlock()
 	if !ok {
 		return nil
 	}
@@ -569,18 +451,15 @@ func (s *StreamDetector) CloseSession(id string) []Anomaly {
 // themselves run on a worker pool. Report.Sessions counts every session
 // the stream opened, not just those still in flight.
 func (s *StreamDetector) Flush() *Report {
-	var bufs []*sessionBuf
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, b := range sh.sessions {
-			bufs = append(bufs, b)
-		}
-		sh.sessions = make(map[string]*sessionBuf)
-		sh.heap = sh.heap[:0]
-		sh.earliest.Store(math.MaxInt64)
-		sh.mu.Unlock()
+	s.mu.Lock()
+	bufs := make([]*sessionBuf, 0, len(s.sessions))
+	for _, b := range s.sessions {
+		bufs = append(bufs, b)
 	}
-	s.inFlight.Add(int64(-len(bufs)))
+	s.sessions = make(map[string]*sessionBuf)
+	s.heap = s.heap[:0]
+	r := &Report{Sessions: int(s.seen)}
+	s.mu.Unlock()
 	sort.Slice(bufs, func(i, j int) bool {
 		if !bufs[i].first.Equal(bufs[j].first) {
 			return bufs[i].first.Before(bufs[j].first)
@@ -592,7 +471,6 @@ func (s *StreamDetector) Flush() *Report {
 		perSession[i] = s.finalize(bufs[i])
 		releaseSessionBuf(bufs[i])
 	})
-	r := &Report{Sessions: int(s.seen.Load())}
 	for _, anomalies := range perSession {
 		r.Anomalies = append(r.Anomalies, anomalies...)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ func streamRec(session, msg string, at time.Time) logging.Record {
 }
 
 func TestStreamImmediateUnexpected(t *testing.T) {
-	s := NewStreamDetector(fixture(t), 0)
+	s := NewStream(fixture(t), StreamConfig{})
 	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
 	if got := s.Consume(streamRec("c1", "Registering worker node_07", t0)); len(got) != 0 {
 		t.Fatalf("normal record flagged: %+v", got)
@@ -29,7 +30,7 @@ func TestStreamImmediateUnexpected(t *testing.T) {
 }
 
 func TestStreamCloseSessionStructuralChecks(t *testing.T) {
-	s := NewStreamDetector(fixture(t), 0)
+	s := NewStream(fixture(t), StreamConfig{})
 	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
 	s.Consume(streamRec("c1", "Registering worker node_07", t0))
 	// Session truncated: Registered never arrives.
@@ -49,7 +50,7 @@ func TestStreamCloseSessionStructuralChecks(t *testing.T) {
 }
 
 func TestStreamIdleTimeoutFinalizes(t *testing.T) {
-	s := NewStreamDetector(fixture(t), time.Minute)
+	s := NewStream(fixture(t), StreamConfig{IdleTimeout: time.Minute})
 	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
 	s.Consume(streamRec("old", "Registering worker node_07", t0))
 	// A much later record on another session idles out "old".
@@ -74,7 +75,7 @@ func TestStreamFlushMatchesBatch(t *testing.T) {
 	// Batch detection.
 	batch := d.DetectSession(session(lines...))
 	// Stream detection of the same session.
-	s := NewStreamDetector(d, 0)
+	s := NewStream(d, StreamConfig{})
 	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
 	for i, l := range lines {
 		s.Consume(streamRec("test", l, t0.Add(time.Duration(i)*time.Second)))
@@ -86,7 +87,7 @@ func TestStreamFlushMatchesBatch(t *testing.T) {
 }
 
 func TestStreamCloseUnknownSession(t *testing.T) {
-	s := NewStreamDetector(fixture(t), 0)
+	s := NewStream(fixture(t), StreamConfig{})
 	if got := s.CloseSession("nope"); got != nil {
 		t.Errorf("closing unknown session returned %+v", got)
 	}
@@ -98,7 +99,7 @@ func TestStreamCloseUnknownSession(t *testing.T) {
 // proves the session alive. The buggy code split the session in two and
 // reported spurious missing-critical-keys findings.
 func TestStreamNoSelfExpiry(t *testing.T) {
-	s := NewStreamDetector(fixture(t), time.Minute)
+	s := NewStream(fixture(t), StreamConfig{IdleTimeout: time.Minute})
 	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
 	if got := s.Consume(streamRec("c1", "Registering worker node_07", t0)); len(got) != 0 {
 		t.Fatalf("first record flagged: %+v", got)
@@ -147,47 +148,46 @@ func normalizeAnomalies(t *testing.T, anomalies []Anomaly) []string {
 	return out
 }
 
-// TestStreamBatchParity asserts Detector.Detect and StreamDetector+Flush
-// yield identical reports on the same corpus: same session count, same
-// findings (compared as normalized JSON), including the unmatched-only
-// session and the out-of-order interleaving.
-func TestStreamBatchParity(t *testing.T) {
-	d := fixture(t)
-	recs := parityCorpus()
-
+// assertStreamMatchesBatch requires Detector.Detect and StreamDetector+
+// Flush to yield identical reports on the same records: same session
+// count, same findings (compared as normalized JSON).
+func assertStreamMatchesBatch(t *testing.T, d *Detector, recs []logging.Record) {
+	t.Helper()
 	batch := d.Detect(logging.GroupSessions(recs))
+	s := NewStream(d, StreamConfig{})
+	var streamed []Anomaly
+	for _, r := range recs {
+		streamed = append(streamed, s.Consume(r)...)
+	}
+	rep := s.Flush()
+	streamed = append(streamed, rep.Anomalies...)
 
-	for _, shards := range []int{1, 4} {
-		s := NewStream(d, StreamConfig{Shards: shards})
-		var streamed []Anomaly
-		for _, r := range recs {
-			streamed = append(streamed, s.Consume(r)...)
-		}
-		rep := s.Flush()
-		streamed = append(streamed, rep.Anomalies...)
-
-		if rep.Sessions != batch.Sessions {
-			t.Errorf("shards=%d: stream saw %d sessions, batch %d", shards, rep.Sessions, batch.Sessions)
-		}
-		got := normalizeAnomalies(t, streamed)
-		want := normalizeAnomalies(t, batch.Anomalies)
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: stream %d findings, batch %d:\nstream: %v\nbatch: %v",
-				shards, len(got), len(want), got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("shards=%d: finding %d differs:\nstream: %s\nbatch:  %s", shards, i, got[i], want[i])
-			}
+	if rep.Sessions != batch.Sessions {
+		t.Errorf("stream saw %d sessions, batch %d", rep.Sessions, batch.Sessions)
+	}
+	got := normalizeAnomalies(t, streamed)
+	want := normalizeAnomalies(t, batch.Anomalies)
+	if len(got) != len(want) {
+		t.Fatalf("stream %d findings, batch %d:\nstream: %v\nbatch: %v", len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("finding %d differs:\nstream: %s\nbatch:  %s", i, got[i], want[i])
 		}
 	}
+}
+
+// TestStreamBatchParity covers the unmatched-only session and the
+// out-of-order interleaving of parityCorpus.
+func TestStreamBatchParity(t *testing.T) {
+	assertStreamMatchesBatch(t, fixture(t), parityCorpus())
 }
 
 // TestStreamUnexpectedCarriesFramework covers the bare-session bug: the
 // unexpected-message path must build the session from the record, not an
 // ID-only stub.
 func TestStreamUnexpectedCarriesFramework(t *testing.T) {
-	s := NewStreamDetector(fixture(t), 0)
+	s := NewStream(fixture(t), StreamConfig{})
 	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
 	rec := streamRec("c1", "Totally novel failure on host8:1234", t0)
 	rec.Framework = logging.Spark
@@ -227,31 +227,46 @@ func TestStreamMaxSessionMsgsOverflow(t *testing.T) {
 	}
 }
 
-// TestStreamMaxSessionsEviction proves the in-flight cap: a new session
-// beyond the cap force-closes the longest-idle one with an Overflow
-// finding plus its structural findings. One shard makes the eviction
-// order deterministic (the cap is otherwise split across hash shards).
+// TestStreamMaxSessionsEviction proves the in-flight cap is the exact
+// global bound: MaxSessions sessions fit with no finding, and one more
+// force-closes exactly the session with the oldest last-record time (not
+// the first to arrive) with an Overflow plus its structural findings.
 func TestStreamMaxSessionsEviction(t *testing.T) {
 	d := fixture(t)
-	s := NewStream(d, StreamConfig{MaxSessions: 2, Shards: 1})
+	const max = 64
+	s := NewStream(d, StreamConfig{MaxSessions: max})
 	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
-	s.Consume(streamRec("old", "Registering worker node_07", t0))
-	s.Consume(streamRec("mid", "Registering worker node_08", t0.Add(time.Second)))
-	got := s.Consume(streamRec("new", "Registering worker node_09", t0.Add(2*time.Second)))
-	var overflow, missing bool
-	for _, a := range got {
-		if a.Kind == Overflow && a.Session == "old" {
-			overflow = true
+	for i := 0; i < max; i++ {
+		at := t0.Add(time.Duration(i) * time.Second)
+		if got := s.Consume(streamRec(fmt.Sprintf("s%02d", i), "Registering worker node_07", at)); len(got) != 0 {
+			t.Fatalf("session %d of %d flagged below the cap: %+v", i+1, max, got)
 		}
-		if a.Kind == MissingCriticalKeys && a.Session == "old" {
+	}
+	// Touch the first arrival so s01 now holds the oldest last-record time.
+	if got := s.Consume(streamRec("s00", "bufstart=11 bufend=22", t0.Add(max*time.Second))); len(got) != 0 {
+		t.Fatalf("touching an open session flagged: %+v", got)
+	}
+	if s.Pending() != max {
+		t.Fatalf("Pending = %d, want %d", s.Pending(), max)
+	}
+	got := s.Consume(streamRec("new", "Registering worker node_09", t0.Add((max+1)*time.Second)))
+	overflow, missing := 0, false
+	for _, a := range got {
+		if a.Kind == Overflow {
+			overflow++
+		}
+		if a.Session != "s01" {
+			t.Errorf("finding for %q, want only the longest-idle s01: %+v", a.Session, a)
+		}
+		if a.Kind == MissingCriticalKeys {
 			missing = true
 		}
 	}
-	if !overflow || !missing {
-		t.Fatalf("eviction findings missing (overflow=%v structural=%v): %+v", overflow, missing, got)
+	if overflow != 1 || !missing {
+		t.Fatalf("eviction findings (overflow=%d structural=%v), want one overflow plus structural: %+v", overflow, missing, got)
 	}
-	if s.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2 (cap)", s.Pending())
+	if s.Pending() != max {
+		t.Errorf("Pending = %d, want %d (cap)", s.Pending(), max)
 	}
 }
 
@@ -260,7 +275,7 @@ func TestStreamMaxSessionsEviction(t *testing.T) {
 // stream clock advances.
 func TestStreamIdleExpiryAcrossManySessions(t *testing.T) {
 	d := fixture(t)
-	s := NewStream(d, StreamConfig{IdleTimeout: time.Minute, Shards: 4})
+	s := NewStream(d, StreamConfig{IdleTimeout: time.Minute})
 	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 30; i++ {
 		s.Consume(streamRec(fmt.Sprintf("s%02d", i), "Registering worker node_07", t0.Add(time.Duration(i)*time.Second)))
@@ -365,36 +380,57 @@ func TestStreamRestoreRejectsModelMismatch(t *testing.T) {
 // TestStreamConcurrentConsume drives many sessions from parallel
 // producers (records of one session stay on one goroutine, preserving
 // per-session order) with idle expiry and caps active; under -race this
-// proves the sharded locking discipline.
+// proves the locking discipline. The cap evicts by event time, so a
+// descheduled producer's live session can be force-closed and re-opened
+// by its next record: each re-open is paid for by one Overflow finding,
+// which bounds the session count under any schedule — and makes it exact
+// when no session cap is set.
 func TestStreamConcurrentConsume(t *testing.T) {
 	d := fixture(t)
-	s := NewStream(d, StreamConfig{IdleTimeout: time.Minute, MaxSessions: 64, MaxSessionMsgs: 16})
+	const producers, perProducer = 8, 40
 	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				id := fmt.Sprintf("w%d-s%d", w, i)
-				at := t0.Add(time.Duration(i) * time.Second)
-				s.Consume(streamRec(id, "Registering worker node_07", at))
-				s.Consume(streamRec(id, "Totally novel failure on host8:1234", at.Add(time.Millisecond)))
-				s.Consume(streamRec(id, "Registered worker node_07", at.Add(2*time.Millisecond)))
-				if i%7 == 0 {
-					s.CloseSession(id)
+	for _, limit := range []int{64, 0} {
+		s := NewStream(d, StreamConfig{IdleTimeout: time.Minute, MaxSessions: limit, MaxSessionMsgs: 16})
+		var forced atomic.Int64
+		check := func(as []Anomaly) {
+			for _, a := range as {
+				if a.Kind == Overflow {
+					forced.Add(1)
 				}
-				_ = s.Pending()
 			}
-		}(w)
-	}
-	wg.Wait()
-	rep := s.Flush()
-	if rep.Sessions != 8*40 {
-		t.Errorf("Sessions = %d, want %d", rep.Sessions, 8*40)
-	}
-	if s.Pending() != 0 {
-		t.Errorf("Pending = %d after flush", s.Pending())
+			if p := s.Pending(); limit > 0 && p > limit {
+				t.Errorf("Pending = %d exceeds MaxSessions %d", p, limit)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < producers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perProducer; i++ {
+					id := fmt.Sprintf("w%d-s%d", w, i)
+					at := t0.Add(time.Duration(i) * time.Second)
+					check(s.Consume(streamRec(id, "Registering worker node_07", at)))
+					check(s.Consume(streamRec(id, "Totally novel failure on host8:1234", at.Add(time.Millisecond))))
+					check(s.Consume(streamRec(id, "Registered worker node_07", at.Add(2*time.Millisecond))))
+					if i%7 == 0 {
+						check(s.CloseSession(id))
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		rep := s.Flush()
+		opened, n := producers*perProducer, int(forced.Load())
+		if rep.Sessions < opened || rep.Sessions > opened+n {
+			t.Errorf("MaxSessions %d: Sessions = %d, want %d..%d (%d forced closes)", limit, rep.Sessions, opened, opened+n, n)
+		}
+		if (n > 0) != (limit > 0) {
+			t.Errorf("MaxSessions %d over %d sessions: %d forced closes", limit, opened, n)
+		}
+		if s.Pending() != 0 {
+			t.Errorf("Pending = %d after flush", s.Pending())
+		}
 	}
 }
 
@@ -425,24 +461,8 @@ func TestStreamFaultInjectedCorpus(t *testing.T) {
 	perturbed := inj.Perturb(recs)
 
 	cfg := StreamConfig{IdleTimeout: 30 * time.Second, MaxSessions: 4, MaxSessionMsgs: 3}
-	s := NewStream(d, cfg)
-	var all []Anomaly
-	for _, r := range perturbed {
-		all = append(all, s.Consume(r)...)
-		if p := s.Pending(); p > cfg.MaxSessions {
-			t.Fatalf("Pending = %d exceeds MaxSessions %d", p, cfg.MaxSessions)
-		}
-	}
-	st := s.State()
-	for _, ss := range st.Sessions {
-		if len(ss.Records) > cfg.MaxSessionMsgs {
-			t.Errorf("session %q buffered %d messages, cap %d", ss.ID, len(ss.Records), cfg.MaxSessionMsgs)
-		}
-	}
-	rep := s.Flush()
-	all = append(all, rep.Anomalies...)
 	overflow := 0
-	for _, a := range all {
+	for _, a := range consumeCapped(t, d, cfg, perturbed) {
 		if a.Kind == Overflow {
 			overflow++
 		}
@@ -450,4 +470,25 @@ func TestStreamFaultInjectedCorpus(t *testing.T) {
 	if overflow == 0 {
 		t.Error("capped run over a fault-injected corpus surfaced no overflow findings")
 	}
+}
+
+// consumeCapped streams recs through a detector with both caps set,
+// requires each cap to hold at every step, and returns every finding
+// including the flush report's.
+func consumeCapped(t *testing.T, d *Detector, cfg StreamConfig, recs []logging.Record) []Anomaly {
+	t.Helper()
+	s := NewStream(d, cfg)
+	var all []Anomaly
+	for _, r := range recs {
+		all = append(all, s.Consume(r)...)
+		if p := s.Pending(); p > cfg.MaxSessions {
+			t.Fatalf("Pending = %d exceeds MaxSessions %d", p, cfg.MaxSessions)
+		}
+		for _, ss := range s.State().Sessions {
+			if len(ss.Records) > cfg.MaxSessionMsgs {
+				t.Fatalf("session %q buffered %d messages, cap %d", ss.ID, len(ss.Records), cfg.MaxSessionMsgs)
+			}
+		}
+	}
+	return append(all, s.Flush().Anomalies...)
 }

@@ -74,34 +74,32 @@ type StampedMessage struct {
 	Message string    `json:"m"`
 }
 
-// State snapshots the in-flight sessions. Producers should be quiesced
-// first (no concurrent Consume) if the snapshot must pair exactly with a
-// position in the input stream — shards are locked one at a time, so a
-// record consumed mid-snapshot lands on one side or the other per shard.
+// State snapshots the in-flight sessions atomically: a record consumed
+// concurrently is either wholly in the snapshot or wholly absent from it.
+// Producers should still be quiesced first if the snapshot must pair with
+// a known position in the input stream.
 func (s *StreamDetector) State() *StreamState {
+	s.mu.Lock()
 	st := &StreamState{
-		Seen:       s.seen.Load(),
-		NextSeq:    s.startSeq.Load(),
+		Seen:       s.seen,
+		NextSeq:    s.startSeq,
 		AnomalySeq: s.anomSeq.Load(),
 	}
-	if at := s.latest.Load(); at != math.MinInt64 {
-		st.Latest = time.Unix(0, at).UTC()
+	if s.latest != math.MinInt64 {
+		st.Latest = time.Unix(0, s.latest).UTC()
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, b := range sh.sessions {
-			ss := SessionState{
-				ID: b.id, Framework: b.fw,
-				First: b.first, Last: b.last, StartSeq: b.startSeq,
-				Overflowed: b.overflowed, Dropped: b.dropped,
-			}
-			for i, m := range b.msgs {
-				ss.Records = append(ss.Records, StampedMessage{Time: b.times[i], Message: m.Raw})
-			}
-			st.Sessions = append(st.Sessions, ss)
+	for _, b := range s.sessions {
+		ss := SessionState{
+			ID: b.id, Framework: b.fw,
+			First: b.first, Last: b.last, StartSeq: b.startSeq,
+			Overflowed: b.overflowed, Dropped: b.dropped,
 		}
-		sh.mu.Unlock()
+		for i, m := range b.msgs {
+			ss.Records = append(ss.Records, StampedMessage{Time: b.times[i], Message: m.Raw})
+		}
+		st.Sessions = append(st.Sessions, ss)
 	}
+	s.mu.Unlock()
 	sort.Slice(st.Sessions, func(i, j int) bool {
 		return st.Sessions[i].StartSeq < st.Sessions[j].StartSeq
 	})
@@ -115,15 +113,14 @@ func (s *StreamDetector) State() *StreamState {
 func RestoreStreamDetector(d *Detector, cfg StreamConfig, st *StreamState) (*StreamDetector, error) {
 	s := NewStream(d, cfg)
 	if !st.Latest.IsZero() {
-		s.latest.Store(st.Latest.UnixNano())
+		s.latest = st.Latest.UnixNano()
 	}
-	s.seen.Store(st.Seen)
-	s.startSeq.Store(st.NextSeq)
+	s.seen = st.Seen
+	s.startSeq = st.NextSeq
 	s.anomSeq.Store(st.AnomalySeq)
 	for i := range st.Sessions {
 		ss := &st.Sessions[i]
-		sh := s.shard(ss.ID)
-		if _, dup := sh.sessions[ss.ID]; dup {
+		if _, dup := s.sessions[ss.ID]; dup {
 			return nil, fmt.Errorf("checkpoint lists session %q twice", ss.ID)
 		}
 		buf := &sessionBuf{
@@ -143,11 +140,9 @@ func RestoreStreamDetector(d *Detector, cfg StreamConfig, st *StreamState) (*Str
 			buf.msgs = append(buf.msgs, cl.Proto)
 			buf.times = append(buf.times, rm.Time)
 		}
-		sh.sessions[ss.ID] = buf
-		s.inFlight.Add(1)
+		s.sessions[ss.ID] = buf
 		if s.trackExpiry() {
-			sh.heap.push(expiryEntry{at: buf.last.UnixNano(), id: buf.id})
-			sh.syncEarliestLocked()
+			s.heap.push(expiryEntry{at: buf.last.UnixNano(), id: buf.id})
 		}
 	}
 	return s, nil

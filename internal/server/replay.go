@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 	"sync"
@@ -62,6 +61,17 @@ type ReplayResult struct {
 	RecPerSec float64       // accepted records / wall seconds
 }
 
+// partitionBySession splits recs across n replay workers by session
+// route, preserving input order within each part.
+func partitionBySession(recs []logging.Record, n int) [][]logging.Record {
+	parts := make([][]logging.Record, n)
+	for _, r := range recs {
+		i := routeSession(r.SessionID, n)
+		parts[i] = append(parts[i], r)
+	}
+	return parts
+}
+
 // Replay streams the records to the server in batches, honoring 429
 // backpressure (sleep Retry-After, retry the same batch). Records are
 // partitioned across workers by session so per-session order is
@@ -77,16 +87,7 @@ func (c *Client) Replay(recs []logging.Record, opts ReplayOptions) (ReplayResult
 		opts.MaxRetries = 50
 	}
 
-	shards := make([][]logging.Record, opts.Concurrency)
-	for _, r := range recs {
-		h := fnv.New32a()
-		h.Write([]byte(r.SessionID))
-		i := int(h.Sum32()) % opts.Concurrency
-		if i < 0 {
-			i += opts.Concurrency
-		}
-		shards[i] = append(shards[i], r)
-	}
+	shards := partitionBySession(recs, opts.Concurrency)
 
 	type workerStat struct {
 		records, batches, rejected int

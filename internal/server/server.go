@@ -77,7 +77,7 @@ type Config struct {
 	// periodic checkpoints (final checkpoints on shutdown still happen).
 	CheckpointEvery time.Duration
 	// Stream configures each tenant's streaming detector (idle timeout,
-	// session/message caps, shards).
+	// session/message caps).
 	Stream detect.StreamConfig
 	// DefaultFramework is assumed for ingested records that carry no
 	// framework and for raw-line parsing; empty means spark.

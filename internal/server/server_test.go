@@ -47,6 +47,20 @@ func testRecords(session string, n int) []logging.Record {
 	return recs
 }
 
+// enqueueRecords is enqueueBatch over a plain record slice: it copies
+// recs into a rented batch, admits it, and releases the rental itself on
+// refusal.
+func (t *tenant) enqueueRecords(recs []logging.Record) (bool, error) {
+	b := t.srv.batches.Get()
+	b.Grow(len(recs))
+	b.Recs = append(b.Recs, recs...)
+	ok, err := t.enqueueBatch(b)
+	if !ok || err != nil {
+		b.Release()
+	}
+	return ok, err
+}
+
 // TestBackpressure429 fills a tiny ingest queue behind a gated worker and
 // proves admission control: the overflowing batch gets a typed 429 with
 // Retry-After, queued records never exceed the budget (no unbounded

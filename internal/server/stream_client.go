@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"net"
@@ -159,16 +158,7 @@ func (c *Client) ReplayStream(addr string, recs []logging.Record, opts StreamRep
 		opts.MaxRetries = 50
 	}
 
-	shards := make([][]logging.Record, opts.Concurrency)
-	for _, r := range recs {
-		h := fnv.New32a()
-		h.Write([]byte(r.SessionID))
-		i := int(h.Sum32()) % opts.Concurrency
-		if i < 0 {
-			i += opts.Concurrency
-		}
-		shards[i] = append(shards[i], r)
-	}
+	shards := partitionBySession(recs, opts.Concurrency)
 
 	type workerStat struct {
 		records, batches, rejected int

@@ -245,18 +245,19 @@ func (t *tenant) run(q chan task) {
 	}
 }
 
-// route maps a session ID to its worker queue (FNV-1a, like the client's
-// replay sharding — any stable hash works; nothing persists it).
-func (t *tenant) route(session string) int {
-	if len(t.queues) == 1 {
+// routeSession maps a session ID to one of n owners (FNV-1a): a tenant's
+// worker queue, or a replay client's connection. Any stable hash works;
+// nothing persists it.
+func routeSession(id string, n int) int {
+	if n == 1 {
 		return 0
 	}
 	h := uint32(2166136261)
-	for i := 0; i < len(session); i++ {
-		h ^= uint32(session[i])
+	for i := 0; i < len(id); i++ {
+		h ^= uint32(id[i])
 		h *= 16777619
 	}
-	return int(h % uint32(len(t.queues)))
+	return int(h % uint32(n))
 }
 
 // enqueueBatch admits a pooled record batch under the per-tenant budget.
@@ -304,21 +305,6 @@ func (t *tenant) enqueueBatch(b *batch.Batch) (bool, error) {
 	return true, nil
 }
 
-// enqueueRecords is enqueueBatch over a plain record slice: it copies
-// recs into a rented batch, admits it, and releases the rental itself
-// on refusal — for callers (WAL-less internal paths, tests) that don't
-// hold a rental of their own.
-func (t *tenant) enqueueRecords(recs []logging.Record) (bool, error) {
-	b := t.srv.batches.Get()
-	b.Grow(len(recs))
-	b.Recs = append(b.Recs, recs...)
-	ok, err := t.enqueueBatch(b)
-	if !ok || err != nil {
-		b.Release()
-	}
-	return ok, err
-}
-
 // sendBatch splits a batch by session route (preserving input order
 // within each split) and places the splits atomically: under routeMu
 // every target queue is checked for room before anything is sent, so
@@ -334,17 +320,8 @@ func (t *tenant) sendBatch(b *batch.Batch) (bool, error) {
 	if t.closed {
 		return false, nil
 	}
-	if len(t.queues) == 1 && t.wal == nil {
-		// No WAL: the single channel itself orders sends against control
-		// barriers, so the lock-free fast path stands.
-		select {
-		case t.queues[0] <- task{b: b}:
-			return true, nil
-		default:
-			return false, nil
-		}
-	}
 	if len(t.queues) == 1 {
+		// One queue: nothing to split, the batch itself is the task.
 		t.routeMu.Lock()
 		defer t.routeMu.Unlock()
 		if len(t.queues[0]) >= cap(t.queues[0]) {
@@ -363,7 +340,7 @@ func (t *tenant) sendBatch(b *batch.Batch) (bool, error) {
 	// queue.
 	split := make([]*batch.Batch, len(t.queues))
 	for i := range b.Recs {
-		w := t.route(b.Recs[i].SessionID)
+		w := routeSession(b.Recs[i].SessionID, len(t.queues))
 		if split[w] == nil {
 			split[w] = t.srv.batches.Get()
 		}

@@ -33,8 +33,8 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go test -race ./..."
-go test -race ./...
+echo "==> go test -race -count=1 ./..."
+go test -race -count=1 ./...
 
 if [ "${BENCH:-1}" = "1" ]; then
 	# The archived throughput benchmarks run inside the regression guard,
