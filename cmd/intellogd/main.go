@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -106,15 +107,14 @@ func main() {
 		log.Fatalf("intellogd: %v", err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpLn, streamLn, err := listen(*addr, *streamAddr)
+	if err != nil {
+		log.Fatalf("intellogd: %v", err)
+	}
+	hs := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
-	var streamLn net.Listener
-	if *streamAddr != "" {
-		streamLn, err = net.Listen("tcp", *streamAddr)
-		if err != nil {
-			log.Fatalf("intellogd: stream listener: %v", err)
-		}
+	go func() { errCh <- hs.Serve(httpLn) }()
+	if streamLn != nil {
 		go func() {
 			if err := srv.ServeStream(streamLn); err != nil {
 				errCh <- err
@@ -148,6 +148,23 @@ func main() {
 		log.Fatalf("intellogd: drain: %v", err)
 	}
 	log.Printf("intellogd: drained, exiting")
+}
+
+// listen binds the HTTP listener and, when streamAddr is set, the binary
+// ingest listener. Both are bound before either is served: a client that
+// sees /healthz answer may dial the stream port at once, so the stream
+// port has to be accepting connections by then.
+func listen(addr, streamAddr string) (httpLn, streamLn net.Listener, err error) {
+	if httpLn, err = net.Listen("tcp", addr); err != nil {
+		return nil, nil, fmt.Errorf("listener: %w", err)
+	}
+	if streamAddr != "" {
+		if streamLn, err = net.Listen("tcp", streamAddr); err != nil {
+			httpLn.Close()
+			return nil, nil, fmt.Errorf("stream listener: %w", err)
+		}
+	}
+	return httpLn, streamLn, nil
 }
 
 func orNone(s string) string {

@@ -46,9 +46,6 @@ type Model struct {
 	// lookup memoizes raw message → Spell key across binding and
 	// detection; sound because the parser stops consuming after training.
 	lookup *spell.LookupCache
-	// values interns identifier values; prototypes cached in lookup carry
-	// interned sets from it, shared with the detector.
-	values *hwgraph.ValueInterner
 }
 
 // Train runs the full training pipeline over normal-execution sessions.
@@ -97,15 +94,14 @@ func Train(sessions []*logging.Session, cfg Config) *Model {
 	cache := spell.NewLookupCache(0)
 	for msg, e := range memo {
 		k := parser.Lookup(e.texts)
-		cl := &extract.CachedLookup{Tokens: e.toks}
-		if k != nil {
-			if ik := keyIndex[k.ID]; ik != nil && ik.NaturalLanguage {
-				cl.Proto = extract.Bind(ik, e.toks, time.Time{}, "", msg)
-				cl.Proto.IdentifierSet()
-				cl.Proto.IdentifierTypes()
-				cl.Proto.TypeSignature() // precompute; shared by every copy
-				builder.Values().InternMessage(cl.Proto)
-			}
+		cl := &extract.CachedLookup{}
+		if k == nil {
+			cl.Tokens = e.toks // only unmatched renderings are split again
+		} else if ik := keyIndex[k.ID]; ik != nil && ik.NaturalLanguage {
+			cl.Proto = extract.Bind(ik, e.toks, time.Time{}, "", msg)
+			cl.Proto.IdentifierSet()
+			cl.Proto.IdentifierTypes()
+			cl.Proto.TypeSignature() // precompute; shared by every copy
 		}
 		cache.AddAux(msg, k, cl)
 	}
@@ -120,7 +116,6 @@ func Train(sessions []*logging.Session, cfg Config) *Model {
 		KeyGroups: builder.KeyGroups,
 		cfg:       cfg,
 		lookup:    cache,
-		values:    builder.Values(),
 	}
 }
 
@@ -157,15 +152,15 @@ func BindSessionCached(parser *spell.Parser, keys map[int]*extract.IntelKey, cac
 		}
 		tokens := nlp.Tokenize(rec.Message)
 		k := parser.Lookup(nlp.Texts(tokens))
-		cl := &extract.CachedLookup{Tokens: tokens}
-		if k != nil {
-			if ik := keys[k.ID]; ik != nil && ik.NaturalLanguage {
-				cl.Proto = extract.Bind(ik, tokens, time.Time{}, "", rec.Message)
-				cl.Proto.IdentifierSet()
-				cl.Proto.IdentifierTypes()
-				cl.Proto.TypeSignature() // precompute; shared by every copy
-				msgs = append(msgs, rb.Rebind(cl.Proto, rec.Time, s.ID))
-			}
+		cl := &extract.CachedLookup{}
+		if k == nil {
+			cl.Tokens = tokens // only unmatched renderings are split again
+		} else if ik := keys[k.ID]; ik != nil && ik.NaturalLanguage {
+			cl.Proto = extract.Bind(ik, tokens, time.Time{}, "", rec.Message)
+			cl.Proto.IdentifierSet()
+			cl.Proto.IdentifierTypes()
+			cl.Proto.TypeSignature() // precompute; shared by every copy
+			msgs = append(msgs, rb.Rebind(cl.Proto, rec.Time, s.ID))
 		}
 		if cache != nil {
 			cache.AddAux(rec.Message, k, cl)
@@ -193,7 +188,6 @@ func (m *Model) Detector() *detect.Detector {
 	if m.lookup != nil {
 		d.Cache = m.lookup
 	}
-	d.Values = m.values
 	d.CheckHierarchy = !m.cfg.DisableHierarchyCheck
 	d.CheckMissingGroups = !m.cfg.DisableMissingGroupCheck
 	if m.cfg.DisableCriticalKeys {

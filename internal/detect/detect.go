@@ -191,11 +191,6 @@ type Detector struct {
 	// Tokenize+Lookup work entirely. May be nil; NewDetector installs one.
 	Cache *spell.LookupCache
 
-	// Values is the model's identifier-value interner; prototypes carry
-	// interned identifier sets from it so Algorithm 2 never hashes value
-	// strings. May be nil (the assigners then intern per run).
-	Values *hwgraph.ValueInterner
-
 	// scratch pools per-worker detection state (Algorithm 2 assigner,
 	// group buckets, key-sequence buffers) across sessions; see
 	// sessionScratch. Detectors must not be copied once detection starts.
@@ -272,9 +267,7 @@ func (d *Detector) getScratch() *sessionScratch {
 	if v := d.scratch.Get(); v != nil {
 		return v.(*sessionScratch)
 	}
-	scr := &sessionScratch{buckets: map[string]*groupBucket{}}
-	scr.asn.SetValues(d.Values)
-	return scr
+	return &sessionScratch{buckets: map[string]*groupBucket{}}
 }
 
 func (d *Detector) putScratch(scr *sessionScratch) {
@@ -337,23 +330,20 @@ func (d *Detector) lookupRecord(rec *logging.Record) (key *spell.Key, cl *extrac
 	}
 	tokens := nlp.Tokenize(rec.Message)
 	key = d.Parser.Lookup(nlp.Texts(tokens))
-	cl = &extract.CachedLookup{Tokens: tokens}
-	if key != nil {
-		if ik := d.Keys[key.ID]; ik != nil && ik.NaturalLanguage {
-			cl.Proto = extract.Bind(ik, tokens, time.Time{}, "", rec.Message)
-			cl.Proto.IdentifierSet()
-			cl.Proto.IdentifierTypes()
-			cl.Proto.TypeSignature() // precompute; shared by every copy
-			if d.Values != nil {
-				d.Values.InternMessage(cl.Proto)
-			}
-		}
-	} else {
+	cl = &extract.CachedLookup{}
+	if key == nil {
 		// Unmatched rendering: every repeat becomes an unexpected-message
 		// anomaly, so precompute the ad-hoc extraction once here instead of
 		// once per record in unexpected (which used to dominate the
-		// allocation profile on anomaly-heavy streams).
+		// allocation profile on anomaly-heavy streams). Only this path
+		// reads the token split again, so only it keeps it.
+		cl.Tokens = tokens
 		d.buildAdhoc(rec.Message, cl)
+	} else if ik := d.Keys[key.ID]; ik != nil && ik.NaturalLanguage {
+		cl.Proto = extract.Bind(ik, tokens, time.Time{}, "", rec.Message)
+		cl.Proto.IdentifierSet()
+		cl.Proto.IdentifierTypes()
+		cl.Proto.TypeSignature() // precompute; shared by every copy
 	}
 	if d.Cache != nil {
 		d.Cache.AddAux(rec.Message, key, cl)

@@ -3,6 +3,7 @@ package detect
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 
 	"intellog/internal/logging"
 	"intellog/internal/sim"
+	"intellog/internal/spell"
 )
 
 func streamRec(session, msg string, at time.Time) logging.Record {
@@ -491,4 +493,49 @@ func consumeCapped(t *testing.T, d *Detector, cfg StreamConfig, recs []logging.R
 		}
 	}
 	return append(all, s.Flush().Anomalies...)
+}
+
+// TestStreamNothingGrowsWithDistinctValues streams 200k records whose
+// identifier values never repeat, two to a session, each session closed
+// as it completes. Afterwards nothing the detector keeps — its lookup
+// cache, the pooled worker scratch and the Algorithm 2 assigner in it —
+// may be sized by the values the stream carried: the caches hold at most
+// their fixed bounds and the assigner is sized for a two-value run. (The
+// assigner's fields are unexported in hwgraph; the test reads their
+// capacities by name through reflect.)
+func TestStreamNothingGrowsWithDistinctValues(t *testing.T) {
+	const sessions = 100_000
+	d := fixture(t)
+	s := NewStream(d, StreamConfig{})
+	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
+	for i := 0; i < sessions; i++ {
+		id := fmt.Sprintf("c%d", i)
+		at := t0.Add(time.Duration(i) * time.Second)
+		s.Consume(streamRec(id, fmt.Sprintf("Registering worker node_%d", i), at))
+		s.Consume(streamRec(id, fmt.Sprintf("Registered worker node_%d", i), at))
+		if got := s.CloseSession(id); len(got) != 0 {
+			t.Fatalf("session %d: clean session flagged: %+v", i, got)
+		}
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d with every session closed", s.Pending())
+	}
+	if n := d.Cache.Len(); n > spell.DefaultLookupCacheSize {
+		t.Errorf("lookup cache holds %d renderings, bound %d", n, spell.DefaultLookupCacheSize)
+	}
+	scr := d.getScratch()
+	defer d.putScratch(scr)
+	if len(scr.l1) > l1ResolveCap {
+		t.Errorf("worker resolve memo holds %d renderings, bound %d", len(scr.l1), l1ResolveCap)
+	}
+	if cap(scr.msgs) > 64 || cap(scr.seq) > 64 || cap(scr.order) > 64 || len(scr.buckets) > 64 {
+		t.Errorf("scratch sized by the stream: msgs %d seq %d order %d buckets %d",
+			cap(scr.msgs), cap(scr.seq), cap(scr.order), len(scr.buckets))
+	}
+	asn := reflect.ValueOf(&scr.asn).Elem()
+	for _, name := range []string{"table", "vals", "byValue", "setIDs", "instances", "free"} {
+		if c := asn.FieldByName(name).Cap(); c > 64 {
+			t.Errorf("Assigner.%s has capacity %d after %d distinct values in two-value runs", name, c, 2*sessions)
+		}
+	}
 }

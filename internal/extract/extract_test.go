@@ -313,3 +313,34 @@ func TestIsUnit(t *testing.T) {
 		t.Error("IsUnit(fetcher) = true")
 	}
 }
+
+// TestIdentifierValues: the distinct values come in IdentifierSet order
+// with their occurrence counts, and a value's hash is the same on every
+// message that carries it — the property that lets Algorithm 2 compare
+// values across prototypes without a shared table.
+func TestIdentifierValues(t *testing.T) {
+	m := &Message{Identifiers: map[string][]string{
+		"TASK":  {"task_7", "task_7"},
+		"STAGE": {"stage_2", "attempt_1"},
+	}}
+	got := m.IdentifierValues()
+	if len(got) != 3 || got[0].Val != "attempt_1" || got[1].Val != "stage_2" || got[2].Val != "task_7" {
+		t.Fatalf("IdentifierValues = %+v", got)
+	}
+	if got[0].Count != 1 || got[1].Count != 1 || got[2].Count != 2 {
+		t.Errorf("counts = %d %d %d, want 1 1 2", got[0].Count, got[1].Count, got[2].Count)
+	}
+	if set := m.IdentifierSet(); len(set) != 4 {
+		t.Errorf("IdentifierSet = %v, want the multiset of 4", set)
+	}
+	other := &Message{Identifiers: map[string][]string{"ID": {"task_7"}}}
+	if ov := other.IdentifierValues(); len(ov) != 1 || ov[0].Hash != got[2].Hash {
+		t.Errorf("task_7 hashes differently on two messages: %+v vs %+v", ov, got[2])
+	}
+	if got[0].Hash == got[1].Hash && got[1].Hash == got[2].Hash {
+		t.Error("three distinct values share one hash")
+	}
+	if vals := (&Message{}).IdentifierValues(); len(vals) != 0 {
+		t.Errorf("message without identifiers has values %+v", vals)
+	}
+}

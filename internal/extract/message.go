@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"hash/maphash"
 	"sort"
 	"strings"
 	"time"
@@ -43,36 +44,30 @@ type Message struct {
 	// "" from an uncomputed one). Shared by prototype copies like typeSet.
 	typeSig   string
 	typeSigOK bool
-	// interned caches the identifier multiset in interned form (set by
-	// the HW-graph layer's value interner); shared by prototype copies
-	// like idSet.
-	interned *InternedIDs
+	// idVals caches IdentifierValues: the form of idSet Algorithm 2
+	// consumes. Filled by IdentifierSet, shared by prototype copies.
+	idVals []IDValue
 }
 
-// InternedIDs is a message's identifier multiset in interned form: the
-// distinct values' dense ids and strings in idSet order, their occurrence
-// counts, and the multiset's total size. Owner identifies the interner
-// that assigned the ids; consumers must ignore a cache whose owner is not
-// theirs. All fields are read-only once set.
-type InternedIDs struct {
-	Owner  any
-	IDs    []int32
-	Vals   []string
-	Counts []int32
-	Total  int
+// IDValue is one distinct identifier value of a message: the string,
+// a 64-bit hash of it, and how often the value occurs in the message's
+// identifier multiset. The hash is a pure function of the string within
+// one process (it is seeded per process and must never be persisted),
+// so any two messages agree on it without sharing a table.
+type IDValue struct {
+	Val   string
+	Hash  uint64
+	Count int32
 }
 
-// Interned returns the cached interned identifier set, or nil.
-func (m *Message) Interned() *InternedIDs { return m.interned }
-
-// SetInterned caches the interned identifier set. Call only while the
-// message is still private to one goroutine (i.e. at prototype build
-// time).
-func (m *Message) SetInterned(v *InternedIDs) { m.interned = v }
+// idSeed seeds every IDValue.Hash in the process.
+var idSeed = maphash.MakeSeed()
 
 // IdentifierSet returns the sorted set of all identifier values in the
 // message — the log.Sv of Algorithm 2. The result is cached on the
-// message and must not be mutated.
+// message and must not be mutated. The same call caches
+// IdentifierValues, so a prototype that had IdentifierSet called before
+// it was published is read-only for Algorithm 2 as well.
 func (m *Message) IdentifierSet() []string {
 	if m.idSet != nil {
 		return m.idSet
@@ -82,8 +77,30 @@ func (m *Message) IdentifierSet() []string {
 		out = append(out, vals...)
 	}
 	sort.Strings(out)
+	if len(out) > 0 {
+		vals := make([]IDValue, 0, len(out))
+		for i, v := range out {
+			if i > 0 && v == out[i-1] { // sorted: duplicates are adjacent
+				vals[len(vals)-1].Count++
+				continue
+			}
+			vals = append(vals, IDValue{Val: v, Hash: maphash.String(idSeed, v), Count: 1})
+		}
+		m.idVals = vals
+	}
 	m.idSet = out
 	return out
+}
+
+// IdentifierValues returns the distinct values of IdentifierSet in the
+// same (sorted) order, each with its hash and occurrence count; the
+// counts sum to len(IdentifierSet()). Cached with IdentifierSet and
+// read-only like it.
+func (m *Message) IdentifierValues() []IDValue {
+	if m.idSet == nil {
+		m.IdentifierSet()
+	}
+	return m.idVals
 }
 
 // IdentifierTypes returns the sorted distinct identifier types of the
@@ -175,6 +192,11 @@ func BindRaw(key *IntelKey, ts time.Time, session, raw string) *Message {
 // spell.LookupCache entry: the token split, and — when the message bound
 // to a natural-language key — the bound prototype whose per-record copies
 // Rebind produces. Everything it references is shared and read-only.
+//
+// Tokens is kept only for unmatched renderings (key == nil), whose
+// ad-hoc extraction and per-record Bind read it. For a matched rendering
+// nothing reads the split once Proto is bound, and the lookup cache would
+// pin it for as long as the entry lives, so publishers set it nil.
 type CachedLookup struct {
 	Tokens []nlp.Token
 	Proto  *Message

@@ -24,7 +24,6 @@ type Builder struct {
 	rels      *relTracker
 	groupKeys map[string]map[int]bool
 	sessions  int
-	values    *ValueInterner
 
 	// Dense group indexing: allGroups lists every group with at least one
 	// key in lexicographic order, groupIdx inverts it, and keyGroupIdx
@@ -120,15 +119,8 @@ func NewBuilder(keys []*extract.IntelKey) *Builder {
 	b.spans = make([]Span, n)
 	b.mark = make([]bool, n)
 	b.perKey = map[int]int{}
-	b.values = NewValueInterner()
-	b.asn.SetValues(b.values)
 	return b
 }
-
-// Values returns the builder's value interner. Callers that bind message
-// prototypes before AddSession should pass them through
-// ValueInterner.InternMessage so Algorithm 2 skips string interning.
-func (b *Builder) Values() *ValueInterner { return b.values }
 
 // GroupMessages partitions a session's messages by entity group,
 // preserving order and recording each message's session index. A message

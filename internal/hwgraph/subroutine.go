@@ -105,21 +105,27 @@ func AssignInstances(msgs []*extract.Message) []*Instance {
 // detection call Algorithm 2 once per (session, group) pair — tens of
 // thousands of short runs — and the per-run value tables and instance
 // structs dominated the allocation profile, so an Assigner keeps them
-// across runs. Identifier values arrive pre-interned on the messages
-// (ValueInterner ids, cached per distinct rendering); each run remaps
-// them to run-dense ids through an epoch-stamped array, so the hot loop
-// never hashes a string. The returned instances (and their IDValues) are
-// only valid until the next Assign call on the same Assigner; callers
-// that retain instances must use AssignInstances.
+// across runs. Identifier values arrive hashed on the messages
+// (extract.IDValue, cached per distinct rendering); each run maps hash →
+// run-dense id through a small open-addressing table the Assigner owns,
+// confirming the string on a hash match, so the hot loop hashes no
+// string, takes no lock and shares nothing. Every structure here is sized
+// by the widest run seen, never by the stream. The returned instances
+// (and their IDValues) are only valid until the next Assign call on the
+// same Assigner; callers that retain instances must use AssignInstances.
 type Assigner struct {
-	vi    *ValueInterner
-	runID int
-	g2r   []int32 // interner id → run-dense id, valid when stamp matches
-	stamp []int   // runID that last assigned g2r's entry
+	// runID stamps the table slots the current run wrote; slots carrying
+	// any other stamp read as empty, so starting a run clears nothing.
+	runID uint32
+	table []valSlot // len is a power of two, at most half full
+	// dropHashBits is cleared from every value hash before it is used.
+	// Zero outside tests, which set it to force distinct values onto one
+	// hash.
+	dropHashBits uint64
 
 	vals    []string      // run-dense id → value
 	byValue [][]*Instance // run-dense id → instances containing it, creation order
-	setIDs  []int         // per message: deduped run-dense ids of the set
+	setIDs  []int         // per message: run-dense ids of its distinct values
 	setCnt  []int         // occurrence count per entry of setIDs (sets can
 	// repeat a value, and the ids ⊆ set comparison counts occurrences)
 	instances []*Instance
@@ -127,12 +133,57 @@ type Assigner struct {
 	arena     []Instance  // chunked Instance allocation
 }
 
-// SetValues points the assigner at the model's value interner, so
-// message-cached interned ids (same owner) are used directly. A nil
-// interner is ignored.
-func (a *Assigner) SetValues(vi *ValueInterner) {
-	if vi != nil {
-		a.vi = vi
+// valSlot is one entry of the Assigner's hash → run-dense id table.
+type valSlot struct {
+	hash  uint64
+	runID uint32
+	id    int32
+}
+
+// denseID returns the run-dense id of value v (with hash h), assigning
+// the next one on first sight in this run.
+func (a *Assigner) denseID(v string, h uint64) int {
+	if 2*(len(a.vals)+1) > len(a.table) {
+		a.growTable()
+	}
+	mask := uint64(len(a.table) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := &a.table[i]
+		if s.runID != a.runID {
+			id := len(a.vals)
+			*s = valSlot{hash: h, runID: a.runID, id: int32(id)}
+			a.vals = append(a.vals, v)
+			if id < cap(a.byValue) {
+				// Reuse the expired run's posting-list backing array.
+				a.byValue = a.byValue[:id+1]
+				a.byValue[id] = a.byValue[id][:0]
+			} else {
+				a.byValue = append(a.byValue, nil)
+			}
+			return id
+		}
+		// Equal hashes are not proof: two values may collide, and merging
+		// them would merge their instances.
+		if s.hash == h && a.vals[s.id] == v {
+			return int(s.id)
+		}
+	}
+}
+
+// growTable doubles the table, carrying over the current run's slots.
+func (a *Assigner) growTable() {
+	old := a.table
+	a.table = make([]valSlot, max(64, 2*len(old)))
+	mask := uint64(len(a.table) - 1)
+	for _, s := range old {
+		if s.runID != a.runID {
+			continue
+		}
+		i := s.hash & mask
+		for a.table[i].runID == a.runID {
+			i = (i + 1) & mask
+		}
+		a.table[i] = s
 	}
 }
 
@@ -164,10 +215,12 @@ func (a *Assigner) newInstance(ord int) *Instance {
 // subset-related candidate is exactly the instance the in-order scan
 // would have picked first.
 func (a *Assigner) Assign(msgs []*extract.Message) []*Instance {
-	if a.vi == nil {
-		a.vi = NewValueInterner()
-	}
 	a.runID++
+	if a.runID == 0 {
+		// The stamp wrapped: slots from 2^32 runs ago would read as live.
+		clear(a.table)
+		a.runID = 1
+	}
 	a.vals = a.vals[:0]
 	a.byValue = a.byValue[:0]
 	// The previous run's instances are contractually dead once Assign is
@@ -190,48 +243,24 @@ func (a *Assigner) Assign(msgs []*extract.Message) []*Instance {
 			lastTarget.Msgs = append(lastTarget.Msgs, m)
 			continue
 		}
-		set := m.IdentifierSet()
-		if len(set) == 0 {
+		ivs := m.IdentifierValues()
+		if len(ivs) == 0 {
 			none.Msgs = append(none.Msgs, m)
 			lastMsg, lastTarget = m, none
 			continue
 		}
-		ii := m.Interned()
-		if ii == nil || ii.Owner != a.vi {
-			// Message bound outside the model's prewarm path (e.g. an
-			// uncached BindSession miss): intern now, uncached.
-			ii = a.vi.internSet(set)
-		}
-		setIDs, setCnt := a.setIDs[:0], a.setCnt[:0]
-		for i, gid := range ii.IDs {
-			for int(gid) >= len(a.g2r) {
-				a.g2r = append(a.g2r, 0)
-				a.stamp = append(a.stamp, 0)
-			}
-			var id int32
-			if a.stamp[gid] == a.runID {
-				id = a.g2r[gid]
-			} else {
-				a.stamp[gid] = a.runID
-				id = int32(len(a.vals))
-				a.g2r[gid] = id
-				a.vals = append(a.vals, ii.Vals[i])
-				if len(a.byValue) < cap(a.byValue) {
-					// Reuse the expired run's posting-list backing array.
-					a.byValue = a.byValue[:id+1]
-					a.byValue[id] = a.byValue[id][:0]
-				} else {
-					a.byValue = append(a.byValue, nil)
-				}
-			}
-			setIDs = append(setIDs, int(id))
-			setCnt = append(setCnt, int(ii.Counts[i]))
+		setIDs, setCnt, total := a.setIDs[:0], a.setCnt[:0], 0
+		for i := range ivs {
+			iv := &ivs[i]
+			setIDs = append(setIDs, a.denseID(iv.Val, iv.Hash&^a.dropHashBits))
+			setCnt = append(setCnt, int(iv.Count))
+			total += int(iv.Count)
 		}
 		a.setIDs, a.setCnt = setIDs, setCnt
 		var target *Instance
 		for _, id := range setIDs {
 			for _, in := range a.byValue[id] {
-				if (target == nil || in.ord < target.ord) && subsetRelated(setIDs, setCnt, ii.Total, in) {
+				if (target == nil || in.ord < target.ord) && subsetRelated(setIDs, setCnt, total, in) {
 					target = in
 				}
 			}

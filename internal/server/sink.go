@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"sync"
 
 	"intellog/internal/detect"
@@ -16,11 +17,17 @@ import (
 // stream).
 type anomalyLog struct {
 	mu sync.Mutex
-	// entries[i] holds the anomaly with Seq == first + i: the detector
-	// stamps gaplessly and entries only leave pending in seq order, so
-	// the log is dense and seq→index is O(1) arithmetic.
+	// entries holds the retained window. The detector stamps gaplessly
+	// and entries only leave pending in seq order, so the log is dense
+	// and seq→index is O(1) arithmetic: the anomaly with Seq == first + i
+	// sits at entries[(head+i) % len(entries)]. While the log is below
+	// its bound (or unbounded) head is 0 and entries grows by append; at
+	// the bound it is a ring and each push overwrites the oldest entry,
+	// so retention costs the same at any maxRetain.
 	entries []detect.Anomaly
-	// first is the Seq of entries[0]; zero while the log is empty.
+	head    int
+	// first is the Seq of the oldest retained entry; zero while the log
+	// is empty.
 	first uint64
 	// nextSeq is the seq the dense log admits next. Primed by the tenant
 	// from its detector's cursor (prime), so restored tenants continue
@@ -112,13 +119,26 @@ func (l *anomalyLog) push(a detect.Anomaly) {
 	if len(l.entries) == 0 {
 		l.first = a.Seq
 	}
-	l.entries = append(l.entries, a)
-	if l.maxRetain > 0 && len(l.entries) > l.maxRetain {
-		drop := len(l.entries) - l.maxRetain
-		l.entries = append(l.entries[:0], l.entries[drop:]...)
-		l.first += uint64(drop)
-		l.trimmed += uint64(drop)
+	if l.maxRetain <= 0 || len(l.entries) < l.maxRetain {
+		l.entries = append(l.entries, a)
+		return
 	}
+	l.entries[l.head] = a
+	l.head++
+	if l.head == len(l.entries) {
+		l.head = 0
+	}
+	l.first++
+	l.trimmed++
+}
+
+// at returns the i-th oldest retained entry. Caller holds mu.
+func (l *anomalyLog) at(i int) *detect.Anomaly {
+	i += l.head
+	if i >= len(l.entries) {
+		i -= len(l.entries)
+	}
+	return &l.entries[i]
 }
 
 // SeqAnomaly is one anomaly with its cursor, as served to clients.
@@ -154,8 +174,8 @@ func (l *anomalyLog) after(since uint64, limit int) (out []SeqAnomaly, next uint
 		if limit > 0 && len(out) >= limit {
 			break
 		}
-		a := l.entries[i]
-		out = append(out, SeqAnomaly{Seq: a.Seq, Anomaly: a})
+		a := l.at(i)
+		out = append(out, SeqAnomaly{Seq: a.Seq, Anomaly: *a})
 		next = a.Seq
 	}
 	return out, next, dropped
@@ -165,7 +185,7 @@ func (l *anomalyLog) after(since uint64, limit int) (out []SeqAnomaly, next uint
 func (l *anomalyLog) all() []detect.Anomaly {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]detect.Anomaly(nil), l.entries...)
+	return slices.Concat(l.entries[l.head:], l.entries[:l.head])
 }
 
 // len returns the retained count.
@@ -193,5 +213,5 @@ func (l *anomalyLog) get(seq uint64) (detect.Anomaly, bool) {
 	if d >= uint64(len(l.entries)) {
 		return detect.Anomaly{}, false
 	}
-	return l.entries[d], true
+	return *l.at(int(d)), true
 }

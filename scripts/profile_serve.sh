@@ -3,7 +3,10 @@
 # intellogd under replay load, via the daemon's /debug/pprof endpoints,
 # plus a GC/batch-pool stats snapshot from /metrics. The profiles land
 # under profiles/ next to a matching .txt top-listing; TESTING.md
-# describes how to read them.
+# describes how to read them. The CPU profile here is of a replay loop
+# against a daemon with idle expiry and checkpoints off (cpu-replay.*);
+# profiles/cpu-serve.* is the benchmark's steady state and comes from
+# scripts/profile_bench.sh.
 #
 #   scripts/profile_serve.sh              # 10s CPU profile + heap/allocs snapshots
 #   SECONDS_CPU=30 scripts/profile_serve.sh
@@ -66,7 +69,7 @@ echo "==> replay loop in background"
 load_pid=$!
 
 echo "==> capture CPU profile (${cpu_secs}s) + heap/allocs snapshots"
-curl -fsS -o "$outdir/cpu-serve.pb.gz" \
+curl -fsS -o "$outdir/cpu-replay.pb.gz" \
 	"http://$addr/debug/pprof/profile?seconds=$cpu_secs"
 curl -fsS -o "$outdir/heap-serve.pb.gz" \
 	"http://$addr/debug/pprof/heap?gc=1"
@@ -87,8 +90,8 @@ wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
 
 echo "==> render top listings"
-go tool pprof -top -nodecount 25 "$work/intellogd" "$outdir/cpu-serve.pb.gz" \
-	>"$outdir/cpu-serve.txt"
+go tool pprof -top -nodecount 25 "$work/intellogd" "$outdir/cpu-replay.pb.gz" \
+	>"$outdir/cpu-replay.txt"
 go tool pprof -top -nodecount 25 -sample_index=alloc_space "$work/intellogd" \
 	"$outdir/heap-serve.pb.gz" >"$outdir/heap-serve.txt"
 go tool pprof -top -nodecount 25 -sample_index=alloc_objects "$work/intellogd" \
