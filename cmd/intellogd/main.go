@@ -25,6 +25,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime/debug"
+	"strings"
 	"syscall"
 	"time"
 
@@ -48,7 +49,7 @@ func main() {
 		idle       = flag.Duration("idle", 5*time.Minute, "session idle timeout before auto-close (0 disables)")
 		maxSess    = flag.Int("max-sessions", 0, "in-flight session cap per tenant (0 unbounded)")
 		maxMsgs    = flag.Int("max-msgs", 0, "per-session buffered message cap (0 unbounded)")
-		framework  = flag.String("framework", "spark", "default framework for records that carry none: spark | mapreduce | tez")
+		framework  = flag.String("framework", "spark", "default framework for records that carry none: "+frameworkNames())
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "in-flight HTTP request drain budget on shutdown")
 
 		walOn       = flag.Bool("wal", true, "write-ahead-log acked batches (needs -state; crash recovery replays the un-checkpointed suffix)")
@@ -66,6 +67,10 @@ func main() {
 		gogc       = flag.Int("gogc", 0, "GC target percentage (debug.SetGCPercent; 0 leaves GOGC alone, <0 disables the collector)")
 	)
 	flag.Parse()
+	fw, err := defaultFramework(*framework)
+	if err != nil {
+		log.Fatalf("intellogd: %v", err)
+	}
 
 	// GC shaping comes first, before tenants load: with the pooled batch
 	// path keeping the steady-state heap small, a memory limit plus a
@@ -90,7 +95,7 @@ func main() {
 			MaxSessions:    *maxSess,
 			MaxSessionMsgs: *maxMsgs,
 		},
-		DefaultFramework: logging.Framework(*framework),
+		DefaultFramework: fw,
 		DisableWAL:       !*walOn,
 		WALSync:          *walSync,
 		WALSyncEvery:     *walSyncEvry,
@@ -165,6 +170,25 @@ func listen(addr, streamAddr string) (httpLn, streamLn net.Listener, err error) 
 		}
 	}
 	return httpLn, streamLn, nil
+}
+
+// defaultFramework validates -framework. An unknown name must fail the
+// boot: the raw-line parser would otherwise read it with the Hadoop
+// layout and mis-parse every line that names no framework.
+func defaultFramework(name string) (logging.Framework, error) {
+	if fw := logging.Framework(name); fw.Known() {
+		return fw, nil
+	}
+	return "", fmt.Errorf("unknown -framework %q (want %s)", name, frameworkNames())
+}
+
+// frameworkNames renders logging.Frameworks for -framework's help.
+func frameworkNames() string {
+	names := make([]string, len(logging.Frameworks))
+	for i, fw := range logging.Frameworks {
+		names[i] = string(fw)
+	}
+	return strings.Join(names, " | ")
 }
 
 func orNone(s string) string {

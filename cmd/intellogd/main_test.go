@@ -2,7 +2,10 @@ package main
 
 import (
 	"net"
+	"strings"
 	"testing"
+
+	"intellog/internal/logging"
 )
 
 // TestListenBindsBothBeforeServing pins the boot order: both ports accept
@@ -55,4 +58,24 @@ func TestListenStreamFailureReleasesHTTP(t *testing.T) {
 		t.Fatalf("no stream address: ln=%v err=%v", streamLn, err)
 	}
 	httpLn.Close()
+}
+
+// TestDefaultFrameworkValidated: every framework the parser knows is
+// accepted and named in -framework's help; any other name is refused
+// instead of being read with the Hadoop layout.
+func TestDefaultFrameworkValidated(t *testing.T) {
+	help := frameworkNames()
+	for _, fw := range logging.Frameworks {
+		if got, err := defaultFramework(string(fw)); err != nil || got != fw {
+			t.Errorf("defaultFramework(%q) = %q, %v", fw, got, err)
+		}
+		if !strings.Contains(help, string(fw)) {
+			t.Errorf("help %q does not name %q", help, fw)
+		}
+	}
+	for _, name := range []string{"", "hadoop", "Spark", "bgl"} {
+		if _, err := defaultFramework(name); err == nil {
+			t.Errorf("defaultFramework(%q) accepted an unknown name", name)
+		}
+	}
 }

@@ -43,8 +43,8 @@ type Model struct {
 	KeyGroups map[int][]string
 
 	cfg Config
-	// lookup memoizes raw message → Spell key across binding and
-	// detection; sound because the parser stops consuming after training.
+	// lookup memoizes raw message → Spell key and Algorithm-2 prototype
+	// once the parser is frozen (after training); Messages never reads it.
 	lookup *spell.LookupCache
 }
 
@@ -60,6 +60,7 @@ func Train(sessions []*logging.Session, cfg Config) *Model {
 	type memoEntry struct {
 		toks  []nlp.Token
 		texts []string
+		proto *extract.Message // stage 3's Algorithm-2 prototype, if NL
 	}
 	memo := make(map[string]*memoEntry, 1024)
 	for _, s := range sessions {
@@ -82,14 +83,11 @@ func Train(sessions []*logging.Session, cfg Config) *Model {
 		keyIndex[ik.ID] = ik
 	}
 
-	// Stage 3: HW-graph modeling. Binding each session to Intel Messages
-	// is independent per session (parallel); the graph builder itself
-	// folds sessions sequentially, in input order, for determinism.
-	//
-	// The parser is frozen after stage 1, so the lookup cache can be
-	// warmed from the stage-1 memo up front: every distinct rendering is
-	// tokenized, looked up and bound exactly once, and the parallel
-	// binding workers below run almost entirely on cache hits.
+	// Stage 3: HW-graph modeling. The parser is frozen after stage 1, so
+	// every distinct rendering is looked up and bound exactly once, into
+	// the stage-1 memo and the lookup cache detection starts from. The
+	// builder reads only key IDs and identifier caches, so it folds the
+	// shared Algorithm-2 prototypes, session by session in input order.
 	builder := hwgraph.NewBuilder(keys)
 	cache := spell.NewLookupCache(0)
 	for msg, e := range memo {
@@ -98,14 +96,19 @@ func Train(sessions []*logging.Session, cfg Config) *Model {
 		if k == nil {
 			cl.Tokens = e.toks // only unmatched renderings are split again
 		} else if ik := keyIndex[k.ID]; ik != nil && ik.NaturalLanguage {
-			cl.Proto = extract.Bind(ik, e.toks, time.Time{}, "", msg)
-			cl.Proto.IdentifierSet()
-			cl.Proto.IdentifierTypes()
-			cl.Proto.TypeSignature() // precompute; shared by every copy
+			cl.Proto = extract.BindProto(ik, e.toks, msg)
+			e.proto = cl.Proto
 		}
 		cache.AddAux(msg, k, cl)
 	}
-	for _, msgs := range bindSessions(parser, keyIndex, cache, sessions) {
+	var msgs []*extract.Message
+	for _, s := range sessions {
+		msgs = msgs[:0]
+		for i := range s.Records {
+			if p := memo[s.Records[i].Message].proto; p != nil {
+				msgs = append(msgs, p)
+			}
+		}
 		builder.AddSession(msgs)
 	}
 
@@ -119,62 +122,47 @@ func Train(sessions []*logging.Session, cfg Config) *Model {
 	}
 }
 
-// BindSession converts a session's records to Intel Messages using the
-// trained keys, skipping unmatched and non-NL messages.
+// BindSession converts a session's records to full Intel Messages —
+// identifier, value and locality maps — using the trained keys, skipping
+// unmatched and non-NL messages.
 func BindSession(parser *spell.Parser, keys map[int]*extract.IntelKey, s *logging.Session) []*extract.Message {
-	return BindSessionCached(parser, keys, nil, s)
+	return bindFull(parser, keys, map[string]*extract.Message{}, s)
 }
 
-// BindSessionCached is BindSession with a raw-message lookup cache: the
-// first occurrence of a rendering tokenizes, looks up and binds as usual
-// and caches the result; every repeat either skips the record outright
-// (unmatched or non-NL key) or shallow-copies the cached bound prototype.
-// cache may be nil.
-func BindSessionCached(parser *spell.Parser, keys map[int]*extract.IntelKey, cache *spell.LookupCache, s *logging.Session) []*extract.Message {
+// bindFull is BindSession over a memo of bound messages by raw text (nil
+// for a rendering that yields none). The memo belongs to one call: the
+// shared lookup cache holds Algorithm-2 prototypes, which lack the maps.
+func bindFull(parser *spell.Parser, keys map[int]*extract.IntelKey, memo map[string]*extract.Message, s *logging.Session) []*extract.Message {
 	var msgs []*extract.Message
 	var rb extract.Rebinder
 	for i := range s.Records {
 		rec := &s.Records[i]
-		if cache != nil {
-			if k, aux, hit := cache.GetAux(rec.Message); hit {
-				if k == nil {
-					continue
+		proto, ok := memo[rec.Message]
+		if !ok {
+			toks := nlp.Tokenize(rec.Message)
+			if k := parser.Lookup(nlp.Texts(toks)); k != nil {
+				if ik := keys[k.ID]; ik != nil && ik.NaturalLanguage {
+					proto = extract.Bind(ik, toks, time.Time{}, "", rec.Message)
+					proto.IdentifierSet() // cache once; every copy shares it
+					proto.TypeSignature()
 				}
-				if cl, ok := aux.(*extract.CachedLookup); ok && cl != nil {
-					if cl.Proto != nil {
-						msgs = append(msgs, rb.Rebind(cl.Proto, rec.Time, s.ID))
-					}
-					continue
-				}
-				// Entry without a memo (added via plain Add): fall through
-				// and rebuild it below.
 			}
+			memo[rec.Message] = proto
 		}
-		tokens := nlp.Tokenize(rec.Message)
-		k := parser.Lookup(nlp.Texts(tokens))
-		cl := &extract.CachedLookup{}
-		if k == nil {
-			cl.Tokens = tokens // only unmatched renderings are split again
-		} else if ik := keys[k.ID]; ik != nil && ik.NaturalLanguage {
-			cl.Proto = extract.Bind(ik, tokens, time.Time{}, "", rec.Message)
-			cl.Proto.IdentifierSet()
-			cl.Proto.IdentifierTypes()
-			cl.Proto.TypeSignature() // precompute; shared by every copy
-			msgs = append(msgs, rb.Rebind(cl.Proto, rec.Time, s.ID))
-		}
-		if cache != nil {
-			cache.AddAux(rec.Message, k, cl)
+		if proto != nil {
+			msgs = append(msgs, rb.Rebind(proto, rec.Time, s.ID))
 		}
 	}
 	return msgs
 }
 
-// Messages converts sessions to Intel Messages with the trained model
-// (for storage and querying).
+// Messages converts sessions to full Intel Messages with the trained
+// model (for storage and querying), as BindSession does.
 func (m *Model) Messages(sessions []*logging.Session) []*extract.Message {
+	memo := map[string]*extract.Message{}
 	var out []*extract.Message
 	for _, s := range sessions {
-		out = append(out, BindSessionCached(m.Parser, m.Keys, m.lookup, s)...)
+		out = append(out, bindFull(m.Parser, m.Keys, memo, s)...)
 	}
 	return out
 }
@@ -183,8 +171,8 @@ func (m *Model) Messages(sessions []*logging.Session) []*extract.Message {
 // training config.
 func (m *Model) Detector() *detect.Detector {
 	d := detect.NewDetector(m.Parser, m.Keys, m.KeyGroups, m.Graph)
-	// Share the model's lookup cache: training, binding and detection see
-	// the same parser, so memoized lookups are interchangeable.
+	// Share the model's lookup cache: training and detection see the same
+	// parser and publish the same memo form, so entries are interchangeable.
 	if m.lookup != nil {
 		d.Cache = m.lookup
 	}

@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"intellog/internal/detect"
+	"intellog/internal/extract"
 	"intellog/internal/logging"
+	"intellog/internal/nlp"
 )
 
 // miniSession fabricates a Spark-executor-like session with two tasks.
@@ -176,6 +179,45 @@ func TestMessagesBinding(t *testing.T) {
 	}
 	if !foundTask {
 		t.Error("no message bound TASK and STAGE identifiers")
+	}
+}
+
+// TestMessagesAfterDetectBindInFull: training and detection publish
+// Algorithm-2 prototypes, which have no field maps, to the model's shared
+// lookup cache. The query API must still return full Intel Messages —
+// deep-equal to a Bind per record with its identifier caches filled, as
+// the API has always returned — when detection saw the renderings first,
+// including renderings training never saw.
+func TestMessagesAfterDetectBindInFull(t *testing.T) {
+	m := trainMini(t)
+	sessions := []*logging.Session{miniSession("container_m", 50), miniSession("container_00", 10)}
+	var want []*extract.Message
+	for _, s := range sessions {
+		for _, rec := range s.Records {
+			toks := nlp.Tokenize(rec.Message)
+			if k := m.Parser.Lookup(nlp.Texts(toks)); k != nil && m.Keys[k.ID].NaturalLanguage {
+				full := extract.Bind(m.Keys[k.ID], toks, rec.Time, s.ID, rec.Message)
+				full.IdentifierSet()
+				full.TypeSignature()
+				want = append(want, full)
+			}
+		}
+	}
+	m.Detect(sessions)
+	sd := detect.NewStream(m.Detector(), detect.StreamConfig{})
+	for _, s := range sessions {
+		for _, rec := range s.Records {
+			sd.Consume(rec)
+		}
+	}
+	got := m.Messages(sessions)
+	if len(got) != len(want) || len(want) != 20 {
+		t.Fatalf("Messages after detection: %d messages, want %d (of 20 records)", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("Messages after detection, message %d:\n got %+v\nwant %+v", i, *got[i], *want[i])
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"intellog/internal/extract"
-	"intellog/internal/logging"
 	"intellog/internal/par"
 	"intellog/internal/spell"
 )
@@ -14,18 +13,6 @@ func buildIntelKeys(keys []*spell.Key) []*extract.IntelKey {
 	out := make([]*extract.IntelKey, len(keys))
 	par.ForEachIndex(len(keys), func(i int) {
 		out[i] = extract.BuildIntelKey(keys[i])
-	})
-	return out
-}
-
-// bindSessions converts every session to Intel Messages in parallel,
-// preserving session order. The Spell parser is only read (Lookup), which
-// is safe concurrently once training consumption is done; the shared
-// lookup cache is internally synchronized.
-func bindSessions(parser *spell.Parser, keys map[int]*extract.IntelKey, cache *spell.LookupCache, sessions []*logging.Session) [][]*extract.Message {
-	out := make([][]*extract.Message, len(sessions))
-	par.ForEachIndex(len(sessions), func(i int) {
-		out[i] = BindSessionCached(parser, keys, cache, sessions[i])
 	})
 	return out
 }

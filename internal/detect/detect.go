@@ -9,6 +9,7 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -238,6 +239,11 @@ type sessionScratch struct {
 	// locally; putScratch flushes them to the shared cache's counter.
 	l1     map[string]resolveMemo
 	l1Hits uint64
+
+	// toks and texts are the resolve stage's token split of a miss,
+	// reused from one miss to the next.
+	toks  []nlp.Token
+	texts []string
 }
 
 // resolveMemo is one L1 entry: the resolution lookupRecord produced for a
@@ -316,10 +322,10 @@ func NewDetector(p *spell.Parser, keys map[int]*extract.IntelKey, keyGroups map[
 }
 
 // lookupRecord resolves a record's Spell key through the cache, memoizing
-// the token split and bound prototype per raw message: a repeat rendering
-// costs a cache probe, and binding it one shallow copy. The returned memo
-// is shared and read-only.
-func (d *Detector) lookupRecord(rec *logging.Record) (key *spell.Key, cl *extract.CachedLookup) {
+// the Algorithm-2 prototype per raw message: a repeat rendering costs a
+// cache probe. A miss tokenizes into scr's buffers. The returned memo is
+// shared and read-only.
+func (d *Detector) lookupRecord(rec *logging.Record, scr *sessionScratch) (key *spell.Key, cl *extract.CachedLookup) {
 	if d.Cache != nil {
 		if k, aux, hit := d.Cache.GetAux(rec.Message); hit {
 			if cl, ok := aux.(*extract.CachedLookup); ok && cl != nil {
@@ -328,22 +334,23 @@ func (d *Detector) lookupRecord(rec *logging.Record) (key *spell.Key, cl *extrac
 			// Entry without a memo (added via plain Add): rebuild it.
 		}
 	}
-	tokens := nlp.Tokenize(rec.Message)
-	key = d.Parser.Lookup(nlp.Texts(tokens))
+	scr.toks = nlp.AppendTokens(scr.toks[:0], rec.Message)
+	scr.texts = nlp.AppendTexts(scr.texts[:0], scr.toks)
+	key = d.Parser.Lookup(scr.texts)
 	cl = &extract.CachedLookup{}
 	if key == nil {
 		// Unmatched rendering: every repeat becomes an unexpected-message
 		// anomaly, so precompute the ad-hoc extraction once here instead of
 		// once per record in unexpected (which used to dominate the
 		// allocation profile on anomaly-heavy streams). Only this path
-		// reads the token split again, so only it keeps it.
-		cl.Tokens = tokens
+		// reads the token split again, so only it keeps a copy.
+		cl.Tokens = slices.Clone(scr.toks)
 		d.buildAdhoc(rec.Message, cl)
 	} else if ik := d.Keys[key.ID]; ik != nil && ik.NaturalLanguage {
-		cl.Proto = extract.Bind(ik, tokens, time.Time{}, "", rec.Message)
-		cl.Proto.IdentifierSet()
-		cl.Proto.IdentifierTypes()
-		cl.Proto.TypeSignature() // precompute; shared by every copy
+		cl.Proto = extract.BindProto(ik, scr.toks, rec.Message)
+	}
+	if cap(scr.toks) > 1<<10 {
+		scr.toks, scr.texts = nil, nil // one huge record must not pin its split
 	}
 	if d.Cache != nil {
 		d.Cache.AddAux(rec.Message, key, cl)
@@ -360,7 +367,7 @@ func (d *Detector) lookupRecordScr(rec *logging.Record, scr *sessionScratch) (*s
 		scr.l1Hits++
 		return m.key, m.cl
 	}
-	key, cl := d.lookupRecord(rec)
+	key, cl := d.lookupRecord(rec, scr)
 	if scr.l1 == nil {
 		scr.l1 = make(map[string]resolveMemo, 1024)
 	} else if len(scr.l1) >= l1ResolveCap {

@@ -229,7 +229,9 @@ func (s *StreamDetector) SessionsSeen() int {
 func (s *StreamDetector) Consume(rec logging.Record) []Anomaly {
 	// Resolve the record before taking the lock; the lookup cache is
 	// concurrency-safe and this is the expensive part of the hot path.
-	key, cl := s.d.lookupRecord(&rec)
+	scr := s.d.getScratch()
+	key, cl := s.d.lookupRecord(&rec, scr)
+	s.d.putScratch(scr)
 	return s.consumeResolved(rec, key, cl)
 }
 

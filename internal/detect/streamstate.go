@@ -118,6 +118,8 @@ func RestoreStreamDetector(d *Detector, cfg StreamConfig, st *StreamState) (*Str
 	s.seen = st.Seen
 	s.startSeq = st.NextSeq
 	s.anomSeq.Store(st.AnomalySeq)
+	scr := d.getScratch()
+	defer d.putScratch(scr)
 	for i := range st.Sessions {
 		ss := &st.Sessions[i]
 		if _, dup := s.sessions[ss.ID]; dup {
@@ -133,7 +135,7 @@ func RestoreStreamDetector(d *Detector, cfg StreamConfig, st *StreamState) (*Str
 				Time: rm.Time, Message: rm.Message,
 				SessionID: ss.ID, Framework: ss.Framework,
 			}
-			key, cl := d.lookupRecord(&rec)
+			key, cl := d.lookupRecord(&rec, scr)
 			if key == nil || cl.Proto == nil {
 				return nil, fmt.Errorf("checkpoint session %q: record %q does not bind under this model (checkpoint/model mismatch)", ss.ID, rm.Message)
 			}

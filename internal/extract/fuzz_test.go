@@ -4,8 +4,9 @@ package extract_test
 // messages: Tokenize → ad-hoc Intel Key (the detector's
 // unexpected-message path) → Bind. Whatever the fuzzer feeds it, the
 // pipeline must not panic, must be deterministic (two extractions of the
-// same message encode identically), and must keep the Message's basic
-// invariants. Run continuously with:
+// same message encode identically), must keep the Message's basic
+// invariants, and BindProto must agree with Bind on the ad-hoc key. Run
+// continuously with:
 //
 //	go test -run '^$' -fuzz FuzzExtract ./internal/extract/
 
@@ -65,6 +66,13 @@ func FuzzExtract(f *testing.F) {
 		}
 		if len(ids1) > n {
 			t.Fatalf("IdentifierSet has %d entries, identifier map only %d: %v", len(ids1), n, ids1)
+		}
+		// The Algorithm-2 prototype of the same key and tokens must agree
+		// with Bind on everything detection reads.
+		tokens := nlp.Tokenize(msg)
+		adhoc := &spell.Key{ID: -1, Tokens: nlp.Texts(tokens), Sample: nlp.Texts(tokens)}
+		if diff := algorithm2Diff(extract.BuildIntelKey(adhoc), tokens, msg); diff != "" {
+			t.Fatalf("prototype of %q: %s", msg, diff)
 		}
 	})
 }

@@ -7,8 +7,12 @@
 package extract
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // SlotKind classifies a variable or identifier-shaped field of a log key.
@@ -79,6 +83,39 @@ type IntelKey struct {
 	// NaturalLanguage reports whether the key contains at least one clause
 	// (the paper's NL-log criterion in §2.2, used in Table 1).
 	NaturalLanguage bool `json:"naturalLanguage"`
+
+	// skel is the key compiled for BindProto, built on first use.
+	skel atomic.Pointer[skeleton]
+}
+
+// skeleton is everything Algorithm 2 reads from a message bound to the
+// key except the identifier values themselves.
+type skeleton struct {
+	idPos []int    // identifier slot positions, in slot order
+	types []string // sorted distinct identifier types, "" read as "ID"; never nil
+	sig   string   // types joined with "+"
+}
+
+// skeleton returns the key's compiled skeleton. Concurrent first calls
+// may each compile one; all of them get the first one published.
+func (k *IntelKey) skeleton() *skeleton {
+	if s := k.skel.Load(); s != nil {
+		return s
+	}
+	s := &skeleton{types: []string{}}
+	for _, slot := range k.Slots {
+		if slot.Kind != SlotIdentifier {
+			continue
+		}
+		s.idPos = append(s.idPos, slot.Pos)
+		if typ := cmp.Or(slot.Type, "ID"); !slices.Contains(s.types, typ) {
+			s.types = append(s.types, typ)
+		}
+	}
+	sort.Strings(s.types)
+	s.sig = strings.Join(s.types, "+")
+	k.skel.CompareAndSwap(nil, s)
+	return k.skel.Load()
 }
 
 // String renders the key text.

@@ -76,6 +76,12 @@ func (m *Message) IdentifierSet() []string {
 	for _, vals := range m.Identifiers {
 		out = append(out, vals...)
 	}
+	m.setIdentifiers(out)
+	return out
+}
+
+// setIdentifiers sorts out and caches it as IdentifierSet and IdentifierValues.
+func (m *Message) setIdentifiers(out []string) {
 	sort.Strings(out)
 	if len(out) > 0 {
 		vals := make([]IDValue, 0, len(out))
@@ -89,7 +95,6 @@ func (m *Message) IdentifierSet() []string {
 		m.idVals = vals
 	}
 	m.idSet = out
-	return out
 }
 
 // IdentifierValues returns the distinct values of IdentifierSet in the
@@ -183,20 +188,39 @@ func Bind(key *IntelKey, tokens []nlp.Token, ts time.Time, session, raw string) 
 	return m
 }
 
-// BindRaw tokenizes raw message text and binds it to the key.
-func BindRaw(key *IntelKey, ts time.Time, session, raw string) *Message {
-	return Bind(key, nlp.Tokenize(raw), ts, session, raw)
+// BindProto returns the Algorithm-2 prototype of a rendering that matched
+// key: KeyID, Raw and the identifier caches, equal to those of a Bind of
+// the same tokens, with the key's shared type set and signature and no
+// field maps. The result is read-only.
+func BindProto(key *IntelKey, tokens []nlp.Token, raw string) *Message {
+	sk := key.skeleton()
+	ids := make([]string, len(sk.idPos))
+	for i, p := range sk.idPos {
+		if p >= len(tokens) {
+			// Bind drops such slots, which can change the type set; only a
+			// hand-built key gets here (Parser.Lookup matches same length).
+			m := Bind(key, tokens, time.Time{}, "", raw)
+			m.IdentifierSet()
+			m.TypeSignature()
+			return m
+		}
+		ids[i] = tokens[p].Text
+	}
+	m := &Message{KeyID: key.ID, Raw: raw, typeSet: sk.types, typeSig: sk.sig, typeSigOK: true}
+	m.setIdentifiers(ids)
+	return m
 }
 
 // CachedLookup is the per-raw-message memo callers attach to a
-// spell.LookupCache entry: the token split, and — when the message bound
-// to a natural-language key — the bound prototype whose per-record copies
-// Rebind produces. Everything it references is shared and read-only.
+// spell.LookupCache entry. A rendering that matched a natural-language
+// key carries its BindProto prototype, which detection consumes directly
+// and HW-graph modeling folds; it has no field maps, so the query API
+// binds full Intel Messages with Bind instead. Everything a published
+// memo references is shared and read-only.
 //
 // Tokens is kept only for unmatched renderings (key == nil), whose
-// ad-hoc extraction and per-record Bind read it. For a matched rendering
-// nothing reads the split once Proto is bound, and the lookup cache would
-// pin it for as long as the entry lives, so publishers set it nil.
+// ad-hoc extraction and per-record Bind read it; publishers leave it nil
+// otherwise, and copy it out of any buffer they reuse.
 type CachedLookup struct {
 	Tokens []nlp.Token
 	Proto  *Message
@@ -215,27 +239,16 @@ type CachedLookup struct {
 	AdhocDetail string
 }
 
-// Rebind returns a copy of a bound prototype with the per-record fields
-// filled in. The maps and slices are shared with the prototype (binding
-// output depends only on the raw text, and consumers never mutate them),
-// so a repeat rendering costs one allocation instead of re-binding.
-func Rebind(proto *Message, ts time.Time, session string) *Message {
-	m := *proto
-	m.Time = ts
-	m.Session = session
-	return &m
-}
-
-// Rebinder is Rebind with chunked allocation: rebound copies come out of
-// block-allocated Message arrays instead of one heap object per record.
-// Binding a corpus produces one copy per record, so the allocator call
-// count drops by the chunk size. The zero value is ready to use; a
-// Rebinder must not be shared across goroutines.
+// Rebinder copies a bound prototype per record with the per-record
+// fields filled in, sharing its maps and slices (consumers never mutate
+// them), out of block-allocated Message arrays instead of one heap
+// object per record. The zero value is ready to use; a Rebinder must not
+// be shared across goroutines.
 type Rebinder struct {
 	buf []Message
 }
 
-// Rebind is extract.Rebind backed by the chunk buffer.
+// Rebind returns the copy of proto stamped with ts and session.
 func (r *Rebinder) Rebind(proto *Message, ts time.Time, session string) *Message {
 	if len(r.buf) == 0 {
 		r.buf = make([]Message, 256)

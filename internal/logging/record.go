@@ -5,6 +5,7 @@ package logging
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -81,16 +82,16 @@ const (
 	YarnRM Framework = "yarn-rm"
 )
 
-// Known reports whether fw is one of the frameworks above. Callers that
-// accept framework names from the outside (e.g. the ingest API) must
-// check it before FormatterFor, whose default case would otherwise
-// silently parse an unknown name with the Hadoop layout.
+// Frameworks lists the frameworks above, in declaration order. It is
+// read-only.
+var Frameworks = []Framework{Spark, MapReduce, Tez, Yarn, NovaCompute, TensorFlow, Flink, HDFS, YarnRM}
+
+// Known reports whether fw is one of Frameworks. Callers that accept
+// framework names from the outside (the ingest API, intellogd's
+// -framework) must check it before FormatterFor, whose default case would
+// otherwise silently parse an unknown name with the Hadoop layout.
 func (fw Framework) Known() bool {
-	switch fw {
-	case Spark, MapReduce, Tez, Yarn, NovaCompute, TensorFlow, Flink, HDFS, YarnRM:
-		return true
-	}
-	return false
+	return slices.Contains(Frameworks, fw)
 }
 
 // Record is one parsed log message.

@@ -67,11 +67,15 @@ func IsAdjective(tag string) bool { return tag == TagJJ }
 
 // Texts returns the surface forms of tokens.
 func Texts(tokens []Token) []string {
-	out := make([]string, len(tokens))
-	for i, t := range tokens {
-		out[i] = t.Text
+	return AppendTexts(make([]string, 0, len(tokens)), tokens)
+}
+
+// AppendTexts appends the surface forms of tokens to dst.
+func AppendTexts(dst []string, tokens []Token) []string {
+	for _, t := range tokens {
+		dst = append(dst, t.Text)
 	}
-	return out
+	return dst
 }
 
 // Tags returns the tags of tokens.

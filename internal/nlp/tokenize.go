@@ -14,16 +14,15 @@ import (
 // is stripped and emitted as SYM tokens so token positions still cover the
 // full message.
 func Tokenize(msg string) []Token {
-	// Fields are scanned in place (no intermediate []string) and the
-	// output gets one up-front allocation sized for the common case of a
-	// field per token plus a little punctuation.
-	n := 1
-	for i := 0; i < len(msg); i++ {
-		if msg[i] == ' ' {
-			n++
-		}
-	}
-	tokens := make([]Token, 0, n+n/4+2)
+	// One up-front allocation sized for the common case of a field per
+	// token plus a little punctuation.
+	n := 1 + strings.Count(msg, " ")
+	return AppendTokens(make([]Token, 0, n+n/4+2), msg)
+}
+
+// AppendTokens is Tokenize appending to tokens, so a caller that owns a
+// buffer splits a message without allocating once the buffer has grown.
+func AppendTokens(tokens []Token, msg string) []Token {
 	start := -1
 	for i := 0; i <= len(msg); i++ {
 		if i == len(msg) || asciiSpace(msg[i]) {

@@ -163,3 +163,29 @@ func TestDLQPaginationPageBoundary(t *testing.T) {
 			len(second.Entries), second.Next, last)
 	}
 }
+
+// TestDLQRecordsCounterFromLoad: a freshly loaded tenant's /metrics
+// carries intellogd_dlq_records_total at 0, so a rate over it is defined
+// before the first dead letter, and the series counts the dead letters
+// that follow.
+func TestDLQRecordsCounterFromLoad(t *testing.T) {
+	modelDir := t.TempDir()
+	writeModel(t, modelDir, "acme", logging.Spark)
+	srv, hs := bootServer(t, server.Config{ModelDir: modelDir, DefaultFramework: logging.Spark})
+	defer srv.Close()
+	c := &server.Client{Base: hs.URL, Tenant: "acme"}
+	const series = `intellogd_dlq_records_total{tenant="acme"} `
+
+	if _, err := c.DLQ(0, 0); err != nil { // loads the tenant
+		t.Fatal(err)
+	}
+	if m, err := c.Metrics(); err != nil || !strings.Contains(m, series+"0\n") {
+		t.Fatalf("fresh tenant's /metrics lacks %q0 (err %v)", series, err)
+	}
+	if code, res := postNDJSON(t, hs.URL, "acme", `{"message":"bad","sessionId":`); code != http.StatusAccepted || res.DeadLettered != 1 {
+		t.Fatalf("status %d, dead-lettered %d, want 202 with 1", code, res.DeadLettered)
+	}
+	if m, err := c.Metrics(); err != nil || !strings.Contains(m, series+"1\n") {
+		t.Fatalf("/metrics lacks %q1 after one dead letter (err %v)", series, err)
+	}
+}

@@ -85,6 +85,9 @@ type tenant struct {
 	// validation.
 	wal *wal.Log
 	dlq *wal.DLQ
+	// dlqRecords counts records dead-lettered; registered at load so the
+	// series reads 0 before the first dead letter instead of being absent.
+	dlqRecords *metrics.Counter
 
 	// ingest counters (mirrored into /metrics).
 	records     atomic.Uint64 // accepted records
@@ -149,6 +152,9 @@ func newTenant(srv *Server, name string, m *core.Model, st *detect.StreamState, 
 		return nil, fmt.Errorf("tenant %s: open dlq: %w", name, err)
 	}
 	t.dlq = dlq
+	t.dlqRecords = srv.reg.Counter("intellogd_dlq_records_total",
+		"records dead-lettered per tenant",
+		metrics.Label{Key: "tenant", Value: name})
 	if srv.cfg.walEnabled() {
 		if err := t.openWALAndReplay(st); err != nil {
 			dlq.Close()
@@ -403,9 +409,7 @@ func (t *tenant) deadLetter(ls []wal.DeadLetter) {
 			"failed dead-letter persistence attempts per tenant",
 			metrics.Label{Key: "tenant", Value: t.name}).Inc()
 	}
-	t.srv.reg.Counter("intellogd_dlq_records_total",
-		"records dead-lettered per tenant",
-		metrics.Label{Key: "tenant", Value: t.name}).Add(float64(len(ls)))
+	t.dlqRecords.Add(float64(len(ls)))
 }
 
 // control runs fn with the whole worker pool quiesced — see controlCut,

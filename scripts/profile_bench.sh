@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# profile_bench.sh — CPU-profile intellogd in the benchmark's steady state:
+# profile_bench.sh — profile intellogd in the benchmark's steady state:
 # run one bench/ driver run (pinned daemon config: idle expiry, 5 s
-# checkpoints, WAL on) and pull /debug/pprof/profile from the daemon in
-# the middle of its measured phase. Writes profiles/cpu-serve.pb.gz and
-# the `-top -cum` listing profiles/cpu-serve.txt.
+# checkpoints, WAL on) and, in the middle of its measured phase, pull
+# from the daemon at once a CPU profile (/debug/pprof/profile) and a
+# delta allocation profile over the same window (/debug/pprof/allocs
+# with seconds=). Writes, per workload,
+#   profiles/cpu-serve-<workload>.pb.gz     and the `-top -cum` listing .txt
+#   profiles/allocs-serve-<workload>.pb.gz  and the alloc_space `-top` listing .txt
 #
 #   scripts/profile_bench.sh                     # spark_ils1, seed 4
 #   scripts/profile_bench.sh hdfs_ils1 2
@@ -14,6 +17,8 @@ cd "$(dirname "$0")/.."
 workload="${1:-spark_ils1}"
 seed="${2:-4}"
 cpu_secs="${SECONDS_CPU:-12}"
+cpu="profiles/cpu-serve-$workload"
+allocs="profiles/allocs-serve-$workload"
 
 bash bench/run.sh --workload "$workload" --seed "$seed" --seconds 25 --trace 0 &
 run=$!
@@ -38,6 +43,10 @@ if [ -z "$pid" ]; then
 fi
 bin=$(readlink "/proc/$pid/exe")
 addr=$(tr '\0' '\n' <"/proc/$pid/cmdline" | grep -A1 -x -e -addr | tail -1)
-curl -fsS -o profiles/cpu-serve.pb.gz "http://$addr/debug/pprof/profile?seconds=$cpu_secs"
-go tool pprof -top -cum -nodecount 40 "$bin" profiles/cpu-serve.pb.gz >profiles/cpu-serve.txt
+curl -fsS -o "$allocs.pb.gz" "http://$addr/debug/pprof/allocs?seconds=$cpu_secs" &
+pull=$!
+curl -fsS -o "$cpu.pb.gz" "http://$addr/debug/pprof/profile?seconds=$cpu_secs"
+wait "$pull"
+go tool pprof -top -cum -nodecount 40 "$bin" "$cpu.pb.gz" >"$cpu.txt"
+go tool pprof -top -sample_index=alloc_space -nodecount 40 "$bin" "$allocs.pb.gz" >"$allocs.txt"
 wait "$run"

@@ -5,8 +5,8 @@
 # under profiles/ next to a matching .txt top-listing; TESTING.md
 # describes how to read them. The CPU profile here is of a replay loop
 # against a daemon with idle expiry and checkpoints off (cpu-replay.*);
-# profiles/cpu-serve.* is the benchmark's steady state and comes from
-# scripts/profile_bench.sh.
+# profiles/{cpu,allocs}-serve-<workload>.* are the benchmark's steady
+# state and come from scripts/profile_bench.sh.
 #
 #   scripts/profile_serve.sh              # 10s CPU profile + heap/allocs snapshots
 #   SECONDS_CPU=30 scripts/profile_serve.sh
