@@ -116,7 +116,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("intellogd: %v", err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(httpLn) }()
 	if streamLn != nil {
@@ -170,6 +170,16 @@ func listen(addr, streamAddr string) (httpLn, streamLn net.Listener, err error) 
 		}
 	}
 	return httpLn, streamLn, nil
+}
+
+// readHeaderTimeout bounds how long a peer may take to send its request
+// headers. Without it a peer that opens a connection and never finishes
+// them pins a goroutine forever.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the daemon's HTTP server around h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // defaultFramework validates -framework. An unknown name must fail the

@@ -2,6 +2,7 @@ package main
 
 import (
 	"net"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -77,5 +78,16 @@ func TestDefaultFrameworkValidated(t *testing.T) {
 		if _, err := defaultFramework(name); err == nil {
 			t.Errorf("defaultFramework(%q) accepted an unknown name", name)
 		}
+	}
+}
+
+// TestHTTPServerBoundsHeaderRead: the daemon's HTTP server gives up on a
+// peer that never finishes its request headers, instead of pinning the
+// connection's goroutine forever.
+func TestHTTPServerBoundsHeaderRead(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.Handler == nil {
+		t.Fatalf("server = {Handler: %v, ReadHeaderTimeout: %v}, want a handler and a positive header bound",
+			hs.Handler, hs.ReadHeaderTimeout)
 	}
 }

@@ -63,7 +63,7 @@ func BenchmarkConformanceBatchDetect(b *testing.B) {
 	b.ResetTimer()
 	ac := startAllocCount()
 	for i := 0; i < b.N; i++ {
-		if rep := d.Detect(sessions); rep.Sessions != len(sessions) {
+		if rep := d.DetectParallel(sessions, 0); rep.Sessions != len(sessions) {
 			b.Fatalf("report covers %d sessions, want %d", rep.Sessions, len(sessions))
 		}
 	}
@@ -84,7 +84,7 @@ var benchMatrixCorpora []*Corpus
 
 // BenchmarkConformanceBatchDetectMatrix measures batch detection across
 // the matrix's new-framework corpora (TensorFlow, Flink, HDFS, YARN RM),
-// one Detect per corpus per iteration.
+// one DetectParallel per corpus per iteration.
 func BenchmarkConformanceBatchDetectMatrix(b *testing.B) {
 	if benchMatrixCorpora == nil {
 		m := DefaultMatrix()
@@ -107,7 +107,7 @@ func BenchmarkConformanceBatchDetectMatrix(b *testing.B) {
 	ac := startAllocCount()
 	for i := 0; i < b.N; i++ {
 		for _, u := range units {
-			if rep := u.d.Detect(u.sessions); rep.Sessions != len(u.sessions) {
+			if rep := u.d.DetectParallel(u.sessions, 0); rep.Sessions != len(u.sessions) {
 				b.Fatalf("report covers %d sessions, want %d", rep.Sessions, len(u.sessions))
 			}
 		}

@@ -118,7 +118,7 @@ func (sp Spec) Generate() *Corpus {
 }
 
 // Sessions returns the corpus's batch view: records grouped by session,
-// ordered by first-record time (the same view Detector.Detect scores).
+// ordered by first-record time (the same view BatchPath scores).
 func (c *Corpus) Sessions() []*logging.Session {
 	return logging.GroupSessions(c.Records)
 }

@@ -51,7 +51,7 @@ type PathReport struct {
 
 // BatchPath runs plain batch detection over the stream's session view.
 func BatchPath(d *detect.Detector, recs []logging.Record) *detect.Report {
-	return d.Detect(logging.GroupSessions(recs))
+	return d.DetectParallel(logging.GroupSessions(recs), 0)
 }
 
 // BatchParallelPath runs sharded batch detection at an explicit shard

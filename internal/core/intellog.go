@@ -173,9 +173,7 @@ func (m *Model) Detector() *detect.Detector {
 	d := detect.NewDetector(m.Parser, m.Keys, m.KeyGroups, m.Graph)
 	// Share the model's lookup cache: training and detection see the same
 	// parser and publish the same memo form, so entries are interchangeable.
-	if m.lookup != nil {
-		d.Cache = m.lookup
-	}
+	d.Cache = m.lookup
 	d.CheckHierarchy = !m.cfg.DisableHierarchyCheck
 	d.CheckMissingGroups = !m.cfg.DisableMissingGroupCheck
 	if m.cfg.DisableCriticalKeys {
@@ -192,5 +190,5 @@ func (m *Model) Detector() *detect.Detector {
 
 // Detect checks sessions against the trained model.
 func (m *Model) Detect(sessions []*logging.Session) *detect.Report {
-	return m.Detector().Detect(sessions)
+	return m.Detector().DetectParallel(sessions, 0)
 }

@@ -187,9 +187,10 @@ type Detector struct {
 	// CheckMissingGroups enables expected-group presence checking.
 	CheckMissingGroups bool
 
-	// Cache memoizes raw message → Spell key. Detection streams repeat
-	// the same renderings (heartbeats, retries), so most records skip the
-	// Tokenize+Lookup work entirely. May be nil; NewDetector installs one.
+	// Cache memoizes raw message → Spell key and Algorithm-2 memo; it is
+	// the only resolve memo. Detection streams repeat the same renderings
+	// (heartbeats, retries), so most records skip the Tokenize+Lookup work
+	// entirely. Never nil: NewDetector installs one.
 	Cache *spell.LookupCache
 
 	// scratch pools per-worker detection state (Algorithm 2 assigner,
@@ -229,36 +230,11 @@ type sessionScratch struct {
 	seq   []int
 	order []int
 
-	// l1 is the worker's private resolve memo over the shared lookup
-	// cache: message → (key, memo) with no lock, no atomics and no LRU
-	// bookkeeping on a hit. Detection streams repeat a few thousand
-	// distinct renderings, so nearly every record resolves here; the
-	// shared cache only sees each rendering once per scratch epoch.
-	// Bounded by l1ResolveCap with wholesale reset (the map is cheap to
-	// refill from the shared cache). l1Hits accumulates the hits counted
-	// locally; putScratch flushes them to the shared cache's counter.
-	l1     map[string]resolveMemo
-	l1Hits uint64
-
 	// toks and texts are the resolve stage's token split of a miss,
 	// reused from one miss to the next.
 	toks  []nlp.Token
 	texts []string
 }
-
-// resolveMemo is one L1 entry: the resolution lookupRecord produced for a
-// raw message under the frozen model (a pure function of the text, so a
-// worker-local copy can never go stale during detection).
-type resolveMemo struct {
-	key *spell.Key
-	cl  *extract.CachedLookup
-}
-
-// l1ResolveCap bounds a worker's private resolve memo; at a few hundred
-// bytes per entry the worst case stays a few MB per worker. It must
-// comfortably exceed a stream's distinct-rendering working set (the
-// evaluation corpora run ~10k) or the wholesale reset thrashes.
-const l1ResolveCap = 1 << 15
 
 // groupBucket collects one entity group's messages within one session.
 type groupBucket struct {
@@ -276,15 +252,7 @@ func (d *Detector) getScratch() *sessionScratch {
 	return &sessionScratch{buckets: map[string]*groupBucket{}}
 }
 
-func (d *Detector) putScratch(scr *sessionScratch) {
-	if scr.l1Hits > 0 {
-		if d.Cache != nil {
-			d.Cache.AddHits(scr.l1Hits)
-		}
-		scr.l1Hits = 0
-	}
-	d.scratch.Put(scr)
-}
+func (d *Detector) putScratch(scr *sessionScratch) { d.scratch.Put(scr) }
 
 // bucketsFor resolves an Intel Key ID to the group buckets it feeds,
 // building the per-key bucket list on first sight.
@@ -321,18 +289,13 @@ func NewDetector(p *spell.Parser, keys map[int]*extract.IntelKey, keyGroups map[
 	}
 }
 
-// lookupRecord resolves a record's Spell key through the cache, memoizing
-// the Algorithm-2 prototype per raw message: a repeat rendering costs a
-// cache probe. A miss tokenizes into scr's buffers. The returned memo is
-// shared and read-only.
+// lookupRecord is the one resolve path: it resolves a record's Spell key
+// through the cache, memoizing the Algorithm-2 prototype per raw message,
+// so a repeat rendering costs a cache probe. A miss tokenizes into scr's
+// buffers. The returned memo is shared and read-only.
 func (d *Detector) lookupRecord(rec *logging.Record, scr *sessionScratch) (key *spell.Key, cl *extract.CachedLookup) {
-	if d.Cache != nil {
-		if k, aux, hit := d.Cache.GetAux(rec.Message); hit {
-			if cl, ok := aux.(*extract.CachedLookup); ok && cl != nil {
-				return k, cl
-			}
-			// Entry without a memo (added via plain Add): rebuild it.
-		}
+	if k, aux, hit := d.Cache.GetAux(rec.Message); hit {
+		return k, aux.(*extract.CachedLookup) // every publisher stores one
 	}
 	scr.toks = nlp.AppendTokens(scr.toks[:0], rec.Message)
 	scr.texts = nlp.AppendTexts(scr.texts[:0], scr.toks)
@@ -352,28 +315,7 @@ func (d *Detector) lookupRecord(rec *logging.Record, scr *sessionScratch) (key *
 	if cap(scr.toks) > 1<<10 {
 		scr.toks, scr.texts = nil, nil // one huge record must not pin its split
 	}
-	if d.Cache != nil {
-		d.Cache.AddAux(rec.Message, key, cl)
-	}
-	return key, cl
-}
-
-// lookupRecordScr is lookupRecord through the worker's private L1 memo:
-// a hit costs one unsynchronized map probe. Resolution is a pure
-// function of the raw text under the frozen model, so the memo never
-// goes stale; it is reset wholesale at l1ResolveCap.
-func (d *Detector) lookupRecordScr(rec *logging.Record, scr *sessionScratch) (*spell.Key, *extract.CachedLookup) {
-	if m, ok := scr.l1[rec.Message]; ok {
-		scr.l1Hits++
-		return m.key, m.cl
-	}
-	key, cl := d.lookupRecord(rec, scr)
-	if scr.l1 == nil {
-		scr.l1 = make(map[string]resolveMemo, 1024)
-	} else if len(scr.l1) >= l1ResolveCap {
-		clear(scr.l1)
-	}
-	scr.l1[rec.Message] = resolveMemo{key: key, cl: cl}
+	d.Cache.AddAux(rec.Message, key, cl)
 	return key, cl
 }
 
@@ -440,7 +382,7 @@ func (d *Detector) detectSession(s *logging.Session, scr *sessionScratch) []Anom
 		if rec.Time.After(last) {
 			last = rec.Time
 		}
-		key, cl := d.lookupRecordScr(rec, scr)
+		key, cl := d.lookupRecord(rec, scr)
 		if key == nil {
 			anomalies = append(anomalies, d.unexpected(s, rec, cl))
 			continue
@@ -458,20 +400,13 @@ func (d *Detector) detectSession(s *logging.Session, scr *sessionScratch) []Anom
 	return anomalies
 }
 
-// Detect runs DetectSession over a batch on a worker pool sized to the
-// machine; the report lists anomalies in session input order regardless
-// of scheduling. Equivalent to DetectParallel(sessions, 0).
-func (d *Detector) Detect(sessions []*logging.Session) *Report {
-	return d.DetectParallel(sessions, 0)
-}
-
-// DetectParallel shards batch detection across sessions: shard w checks
-// sessions w, w+shards, w+2·shards, … with worker-local scratch, and the
-// merge appends per-session findings in input order — so the report is
-// byte-identical at every shard count (the conformance oracle proves
-// serial == parallel(2, 8, NumCPU) on every corpus). shards ≤ 0 uses one
-// shard per CPU. Each shard is a real goroutine even beyond the CPU
-// count, so oversubscribed counts still exercise the concurrent paths.
+// DetectParallel is batch detection, sharded across sessions: shard w
+// checks sessions w, w+shards, w+2·shards, … with worker-local scratch,
+// and the merge appends per-session findings in input order — so the
+// report is byte-identical at every shard count (the conformance oracle
+// proves serial == parallel(2, 8, NumCPU) on every corpus). shards ≤ 0
+// uses one shard per CPU. Each shard is a real goroutine even beyond the
+// CPU count, so oversubscribed counts still exercise the concurrent paths.
 func (d *Detector) DetectParallel(sessions []*logging.Session, shards int) *Report {
 	if shards <= 0 {
 		shards = par.Workers()
@@ -499,9 +434,9 @@ func (d *Detector) DetectParallel(sessions []*logging.Session, shards int) *Repo
 // vary) runs per repeat.
 func (d *Detector) unexpected(s *logging.Session, rec *logging.Record, cl *extract.CachedLookup) Anomaly {
 	if cl.Adhoc == nil {
-		// Memo published without the adhoc extraction (a bare cache Add
-		// from outside lookupRecord): fill a private copy, leaving the
-		// shared memo untouched.
+		// Memo published without the adhoc extraction (training's warm-up
+		// stores only the token split of an unmatched rendering): fill a
+		// private copy, leaving the shared memo untouched.
 		tmp := &extract.CachedLookup{Tokens: cl.Tokens}
 		d.buildAdhoc(rec.Message, tmp)
 		cl = tmp

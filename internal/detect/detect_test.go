@@ -158,10 +158,10 @@ func TestReportHelpers(t *testing.T) {
 
 func TestDetectBatch(t *testing.T) {
 	d := fixture(t)
-	r := d.Detect([]*logging.Session{
+	r := d.DetectParallel([]*logging.Session{
 		session("Registering worker node_07", "Registered worker node_07"),
 		session("Registering worker node_08"),
-	})
+	}, 0)
 	if r.Sessions != 2 {
 		t.Errorf("Sessions = %d", r.Sessions)
 	}
@@ -222,15 +222,12 @@ func TestDetectParallelDeterministic(t *testing.T) {
 	if len(want.Anomalies) == 0 {
 		t.Fatal("fixture batch produced no anomalies; test is vacuous")
 	}
-	for _, shards := range []int{2, 3, 7, 16, 64} {
+	// shards 0 is the one-per-CPU default every batch caller uses.
+	for _, shards := range []int{0, 2, 3, 7, 16, 64} {
 		got := d.DetectParallel(sessions, shards)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: report diverges from serial\n got: %+v\nwant: %+v",
 				shards, got, want)
 		}
-	}
-	// Detect is the shards-per-CPU spelling of the same merge.
-	if got := d.Detect(sessions); !reflect.DeepEqual(got, want) {
-		t.Errorf("Detect diverges from serial DetectParallel")
 	}
 }

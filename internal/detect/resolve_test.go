@@ -3,6 +3,7 @@ package detect
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"intellog/internal/extract"
 	"intellog/internal/hwgraph"
@@ -18,11 +19,11 @@ func hdfsRendering(i int) string {
 }
 
 // TestColdMissAllocs: a new rendering of a matched natural-language key —
-// 97 % of the HDFS workload's records — resolves through lookupRecordScr
-// into one shared-cache entry, one L1 entry and the Algorithm-2 prototype,
-// with no field maps and no token split left behind. Before prototypes
-// replaced Bind on this path the same miss cost parentAllocs allocations
-// (6 after); the bound is half of that.
+// 97 % of the HDFS workload's records — resolves through lookupRecord
+// into one cache entry and the Algorithm-2 prototype, with no field maps
+// and no token split left behind. Before prototypes replaced Bind on this
+// path the same miss cost parentAllocs allocations (6 now); the bound is
+// half of that.
 func TestColdMissAllocs(t *testing.T) {
 	const parentAllocs = 18
 	parser := spell.NewParser(0)
@@ -47,13 +48,47 @@ func TestColdMissAllocs(t *testing.T) {
 	defer d.putScratch(scr)
 	n := 0
 	allocs := testing.AllocsPerRun(runs, func() {
-		key, cl := d.lookupRecordScr(&recs[n], scr)
+		key, cl := d.lookupRecord(&recs[n], scr)
 		if key == nil || cl.Proto == nil || len(cl.Proto.IdentifierSet()) == 0 {
 			t.Fatalf("%q did not resolve to a prototype with identifiers", recs[n].Message)
 		}
 		n++
 	})
+	t.Logf("a cold miss allocates %.1f objects", allocs)
 	if allocs > parentAllocs/2 {
 		t.Errorf("a cold miss allocates %.1f objects, want at most %d", allocs, parentAllocs/2)
+	}
+}
+
+// TestConsumeBatchCountsEveryLookup: the resolve stage probes the lookup
+// cache once per record, so its hit and miss counters (what
+// spell.cache_hit_share is computed from) add up to the records consumed
+// at any worker count. With one worker every distinct rendering misses
+// exactly once.
+func TestConsumeBatchCountsEveryLookup(t *testing.T) {
+	renderings := []string{
+		"Registering worker node_07", "Registered worker node_07",
+		"Registering worker node_08", "Registered worker node_08",
+		"bufstart=11 bufend=22", "Totally novel failure on host8:1234",
+	}
+	const n = 600
+	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
+	recs := make([]logging.Record, n)
+	for i := range recs {
+		recs[i] = streamRec(fmt.Sprintf("c%d", i%7), renderings[i%len(renderings)], t0.Add(time.Duration(i)*time.Millisecond))
+	}
+	for _, workers := range []int{1, 2} {
+		d := fixture(t)
+		s := NewStream(d, StreamConfig{})
+		for lo := 0; lo < n; lo += 64 {
+			s.ConsumeBatch(recs[lo:min(lo+64, n)], workers)
+		}
+		hits, misses := d.Cache.Stats()
+		if hits+misses != n {
+			t.Errorf("workers %d: hits %d + misses %d = %d lookups, want %d", workers, hits, misses, hits+misses, n)
+		}
+		if workers == 1 && misses != uint64(len(renderings)) {
+			t.Errorf("workers 1: %d misses, want one per distinct rendering (%d)", misses, len(renderings))
+		}
 	}
 }

@@ -261,14 +261,12 @@ func (s *StreamDetector) ConsumeBatch(recs []logging.Record, workers int) []Anom
 		resolved = resolved[:len(recs)]
 	}
 	// Stride the batch across workers (not one task per record) so each
-	// worker resolves through a pooled scratch's private L1 memo — the
-	// common repeat rendering costs one unsynchronized map probe instead
-	// of a shared-cache round trip per record.
+	// worker takes one pooled scratch for the token split of its misses.
 	par.ForEach(workers, workers, func(w int) {
 		scr := s.d.getScratch()
 		defer s.d.putScratch(scr)
 		for i := w; i < len(recs); i += workers {
-			resolved[i].key, resolved[i].cl = s.d.lookupRecordScr(&recs[i], scr)
+			resolved[i].key, resolved[i].cl = s.d.lookupRecord(&recs[i], scr)
 		}
 	})
 	var out []Anomaly

@@ -150,12 +150,12 @@ func normalizeAnomalies(t *testing.T, anomalies []Anomaly) []string {
 	return out
 }
 
-// assertStreamMatchesBatch requires Detector.Detect and StreamDetector+
-// Flush to yield identical reports on the same records: same session
-// count, same findings (compared as normalized JSON).
+// assertStreamMatchesBatch requires Detector.DetectParallel and
+// StreamDetector+Flush to yield identical reports on the same records:
+// same session count, same findings (compared as normalized JSON).
 func assertStreamMatchesBatch(t *testing.T, d *Detector, recs []logging.Record) {
 	t.Helper()
-	batch := d.Detect(logging.GroupSessions(recs))
+	batch := d.DetectParallel(logging.GroupSessions(recs), 0)
 	s := NewStream(d, StreamConfig{})
 	var streamed []Anomaly
 	for _, r := range recs {
@@ -525,9 +525,6 @@ func TestStreamNothingGrowsWithDistinctValues(t *testing.T) {
 	}
 	scr := d.getScratch()
 	defer d.putScratch(scr)
-	if len(scr.l1) > l1ResolveCap {
-		t.Errorf("worker resolve memo holds %d renderings, bound %d", len(scr.l1), l1ResolveCap)
-	}
 	if cap(scr.msgs) > 64 || cap(scr.seq) > 64 || cap(scr.order) > 64 || len(scr.buckets) > 64 {
 		t.Errorf("scratch sized by the stream: msgs %d seq %d order %d buckets %d",
 			cap(scr.msgs), cap(scr.seq), cap(scr.order), len(scr.buckets))

@@ -142,12 +142,12 @@ func BenchmarkLookupCacheHit(b *testing.B) {
 	for i, m := range corpus {
 		k := p.Consume(append([]string(nil), m...))
 		msgs[i] = fmt.Sprint(m)
-		c.Add(msgs[i], k)
+		c.AddAux(msgs[i], k, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit := c.Get(msgs[i%len(msgs)]); !hit {
+		if _, _, hit := c.GetAux(msgs[i%len(msgs)]); !hit {
 			b.Fatal("expected hit")
 		}
 	}
@@ -159,9 +159,9 @@ func BenchmarkLookupCacheMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		msg := fmt.Sprintf("never seen message %d", i)
-		if _, hit := c.Get(msg); hit {
+		if _, _, hit := c.GetAux(msg); hit {
 			b.Fatal("unexpected hit")
 		}
-		c.Add(msg, nil)
+		c.AddAux(msg, nil, nil)
 	}
 }

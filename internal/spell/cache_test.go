@@ -10,18 +10,18 @@ import (
 
 func TestLookupCacheHitMissAndNegative(t *testing.T) {
 	c := spell.NewLookupCache(4)
-	if _, hit := c.Get("a"); hit {
+	if _, _, hit := c.GetAux("a"); hit {
 		t.Fatal("empty cache reported a hit")
 	}
 	k := &spell.Key{ID: 3, Tokens: []string{"a"}}
-	c.Add("a", k)
-	if got, hit := c.Get("a"); !hit || got != k {
-		t.Fatalf("Get(a) = %v, %v", got, hit)
+	c.AddAux("a", k, nil)
+	if got, _, hit := c.GetAux("a"); !hit || got != k {
+		t.Fatalf("GetAux(a) = %v, %v", got, hit)
 	}
 	// Negative entries are hits carrying a nil key.
-	c.Add("miss", nil)
-	if got, hit := c.Get("miss"); !hit || got != nil {
-		t.Fatalf("negative Get = %v, %v; want nil, true", got, hit)
+	c.AddAux("miss", nil, nil)
+	if got, _, hit := c.GetAux("miss"); !hit || got != nil {
+		t.Fatalf("negative GetAux = %v, %v; want nil, true", got, hit)
 	}
 	hits, misses := c.Stats()
 	if hits != 2 || misses != 1 {
@@ -32,15 +32,15 @@ func TestLookupCacheHitMissAndNegative(t *testing.T) {
 func TestLookupCacheEvictsLRU(t *testing.T) {
 	c := spell.NewLookupCache(3)
 	for i := 0; i < 3; i++ {
-		c.Add(fmt.Sprintf("m%d", i), &spell.Key{ID: i})
+		c.AddAux(fmt.Sprintf("m%d", i), &spell.Key{ID: i}, nil)
 	}
-	c.Get("m0") // m0 becomes most recent; m1 is now LRU
-	c.Add("m3", &spell.Key{ID: 3})
-	if _, hit := c.Get("m1"); hit {
+	c.GetAux("m0") // m0 becomes most recent; m1 is now LRU
+	c.AddAux("m3", &spell.Key{ID: 3}, nil)
+	if _, _, hit := c.GetAux("m1"); hit {
 		t.Fatal("LRU entry m1 survived eviction")
 	}
 	for _, m := range []string{"m0", "m2", "m3"} {
-		if _, hit := c.Get(m); !hit {
+		if _, _, hit := c.GetAux(m); !hit {
 			t.Fatalf("%s evicted unexpectedly", m)
 		}
 	}
@@ -51,63 +51,45 @@ func TestLookupCacheEvictsLRU(t *testing.T) {
 
 func TestLookupCacheUpdateExisting(t *testing.T) {
 	c := spell.NewLookupCache(2)
-	c.Add("m", nil)
+	c.AddAux("m", nil, nil)
 	k := &spell.Key{ID: 9}
-	c.Add("m", k)
-	if got, hit := c.Get("m"); !hit || got != k {
+	c.AddAux("m", k, nil)
+	if got, _, hit := c.GetAux("m"); !hit || got != k {
 		t.Fatalf("updated entry = %v, %v", got, hit)
 	}
 	if c.Len() != 1 {
-		t.Fatalf("Len = %d after double Add, want 1", c.Len())
+		t.Fatalf("Len = %d after double AddAux, want 1", c.Len())
 	}
 }
 
-// TestLookupCacheFastPathBoundary pins the recency semantics at exactly
-// the cap/2 fast-path cutoff: once Len reaches cap/2, hits switch to the
-// write-locked path and start updating LRU order; below it they do not.
-func TestLookupCacheFastPathBoundary(t *testing.T) {
-	// At the boundary (Len == cap/2) a Get refreshes recency, so the
-	// touched entry survives eviction.
-	c := spell.NewLookupCache(4)
-	c.Add("m0", &spell.Key{ID: 0})
-	c.Add("m1", &spell.Key{ID: 1})
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (= cap/2)", c.Len())
-	}
-	c.Get("m0") // slow path: moves m0 to front, m1 becomes LRU
-	c.Add("m2", &spell.Key{ID: 2})
-	c.Add("m3", &spell.Key{ID: 3})
-	c.Add("m4", &spell.Key{ID: 4}) // evicts
-	if _, hit := c.Get("m1"); hit {
-		t.Error("m1 survived; Get at the boundary should have refreshed m0, making m1 the LRU")
-	}
-	if _, hit := c.Get("m0"); !hit {
-		t.Error("m0 evicted despite boundary-path recency refresh")
-	}
-
-	// Below the boundary (Len < cap/2) a Get is served lock-shared and
-	// recency is deliberately NOT refreshed — the entry is nowhere near
-	// eviction at that point, and insertion order decides later.
-	c2 := spell.NewLookupCache(6)
-	c2.Add("a0", &spell.Key{ID: 0})
-	c2.Add("a1", &spell.Key{ID: 1})
-	c2.Get("a0") // fast path: no recency update
-	for i := 2; i < 7; i++ {
-		c2.Add(fmt.Sprintf("a%d", i), &spell.Key{ID: i})
-	}
-	if _, hit := c2.Get("a0"); hit {
-		t.Error("a0 survived; fast-path Get must not have refreshed recency")
-	}
-	if _, hit := c2.Get("a1"); !hit {
-		t.Error("a1 evicted out of insertion order")
+// TestLookupCacheHitRefreshesRecency: at every fill level, a hit moves
+// its entry to the front, so the next eviction takes the entry behind it.
+// Presence is checked with Peek, which leaves recency alone.
+func TestLookupCacheHitRefreshesRecency(t *testing.T) {
+	const capacity = 8
+	for fill := 2; fill <= capacity; fill++ {
+		c := spell.NewLookupCache(capacity)
+		for i := 0; i < fill; i++ {
+			c.AddAux(fmt.Sprintf("m%d", i), &spell.Key{ID: i}, nil)
+		}
+		c.GetAux("m0") // m0 becomes most recent; m1 is now LRU
+		for i := fill; i <= capacity; i++ {
+			c.AddAux(fmt.Sprintf("m%d", i), &spell.Key{ID: i}, nil) // the last add evicts
+		}
+		if _, _, _, hit := c.Peek([]byte("m0")); !hit {
+			t.Errorf("fill %d/%d: m0 evicted although its hit made it most recent", fill, capacity)
+		}
+		if _, _, _, hit := c.Peek([]byte("m1")); hit {
+			t.Errorf("fill %d/%d: m1 survived; the hit on m0 should have made m1 the LRU", fill, capacity)
+		}
 	}
 }
 
-// TestLookupCacheAddAuxOverwritesCachedMiss covers the memo-rebuild path:
-// a plain cached miss later gains a key and an aux memo in place.
+// TestLookupCacheAddAuxOverwritesCachedMiss: a cached miss with no aux
+// later gains a key and an aux memo in place.
 func TestLookupCacheAddAuxOverwritesCachedMiss(t *testing.T) {
 	c := spell.NewLookupCache(4)
-	c.Add("m", nil)
+	c.AddAux("m", nil, nil)
 	if k, aux, hit := c.GetAux("m"); !hit || k != nil || aux != nil {
 		t.Fatalf("cached miss = (%v, %v, %v), want (nil, nil, true)", k, aux, hit)
 	}
@@ -123,16 +105,16 @@ func TestLookupCacheAddAuxOverwritesCachedMiss(t *testing.T) {
 	}
 }
 
-// TestLookupCacheStatsConcurrentReaders hammers Get/GetAux/Stats from
+// TestLookupCacheStatsConcurrentReaders hammers GetAux/Stats from
 // parallel readers while a writer churns entries; under -race it proves
-// the lock-free counters, and afterwards hits+misses must equal the exact
+// the counters are guarded, and afterwards hits+misses must equal the exact
 // number of reads issued.
 func TestLookupCacheStatsConcurrentReaders(t *testing.T) {
 	// Capacity exceeds everything added below, so the hot keys can never
 	// be evicted and the hit/miss split is exact, not racy.
 	c := spell.NewLookupCache(1024)
 	for i := 0; i < 8; i++ {
-		c.Add(fmt.Sprintf("hot%d", i), &spell.Key{ID: i})
+		c.AddAux(fmt.Sprintf("hot%d", i), &spell.Key{ID: i}, nil)
 	}
 	const readers, reads = 8, 1000
 	var wg sync.WaitGroup
@@ -142,7 +124,7 @@ func TestLookupCacheStatsConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < reads; i++ {
 				if i%2 == 0 {
-					c.Get(fmt.Sprintf("hot%d", i%8))
+					c.GetAux(fmt.Sprintf("hot%d", i%8))
 				} else {
 					c.GetAux(fmt.Sprintf("cold%d-%d", w, i))
 				}
@@ -190,10 +172,10 @@ func TestLookupCacheConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				m := msgs[(i+w)%len(msgs)]
 				raw := fmt.Sprint(m)
-				k, hit := c.Get(raw)
+				k, _, hit := c.GetAux(raw)
 				if !hit {
 					k = p.Lookup(m)
-					c.Add(raw, k)
+					c.AddAux(raw, k, nil)
 				}
 				if k == nil {
 					t.Errorf("trained message %v failed to match", m)
