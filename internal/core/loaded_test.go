@@ -28,6 +28,32 @@ func trainedAndLoaded(t *testing.T, fw logging.Framework) (trained, loaded *dete
 	return m.Detector(), lm.Detector()
 }
 
+// TestSavedModelIsDeterministic: a saved model's bytes are a function of
+// its training corpus, so two trainings on one corpus save identical
+// files, and so does a model loaded from those bytes.
+func TestSavedModelIsDeterministic(t *testing.T) {
+	save := func(m *core.Model) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		return buf.Bytes()
+	}
+	sessions := conformance.TrainingSessions(logging.Spark)
+	first := save(core.Train(sessions, core.Config{}))
+	if second := save(core.Train(sessions, core.Config{})); !bytes.Equal(first, second) {
+		t.Error("two trainings on one corpus saved different bytes")
+	}
+	loaded, err := core.Load(bytes.NewReader(first))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if again := save(loaded); !bytes.Equal(first, again) {
+		t.Error("save → load → save changed the bytes")
+	}
+}
+
 // TestLoadedModelDetectsLikeTrained: a model that went through Save and
 // Load reports byte-identically to the in-process one, batch and stream,
 // and finalizing a session costs it no more allocations. Before the

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"intellog/internal/detect"
 	"intellog/internal/extract"
@@ -38,6 +40,8 @@ func (m *Model) toJSON() modelJSON {
 	for _, ik := range m.Keys {
 		out.IntelKeys = append(out.IntelKeys, ik)
 	}
+	// Sorted, so the saved bytes do not depend on map iteration order.
+	slices.SortFunc(out.IntelKeys, func(a, b *extract.IntelKey) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -575,6 +575,12 @@ func (s *Server) registerGauges() {
 			_, m := t.det.Cache.Stats()
 			return float64(m)
 		}))
+	s.reg.GaugeFunc("intellogd_lookup_cache_entries",
+		"renderings held in the model lookup cache per tenant (bounded by its capacity)",
+		perTenant(func(t *tenant) float64 { return float64(t.det.Cache.Len()) }))
+	s.reg.CounterFunc("intellogd_lookup_cache_declined_total",
+		"lookup-cache inserts the doorkeeper declined (first sightings while full) per tenant",
+		perTenant(func(t *tenant) float64 { return float64(t.det.Cache.Declined()) }))
 	s.reg.CounterFunc("intellogd_wal_replayed_records",
 		"records recovered from the write-ahead log at tenant boot",
 		perTenant(func(t *tenant) float64 { return float64(t.walReplayed.Load()) }))

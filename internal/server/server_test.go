@@ -14,6 +14,7 @@ import (
 	"intellog/internal/conformance"
 	"intellog/internal/detect"
 	"intellog/internal/logging"
+	"intellog/internal/spell"
 )
 
 // saveSparkModel writes the cached spark reference model as tenant name.
@@ -429,6 +430,57 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics scrape missing %q", want)
 		}
 	}
+}
+
+// TestMetricsLookupCacheOccupancy: /metrics carries each tenant's lookup
+// cache occupancy and its doorkeeper declines, and both follow the cache:
+// once it is full, a rendering's first sighting is declined.
+func TestMetricsLookupCacheOccupancy(t *testing.T) {
+	modelDir := t.TempDir()
+	saveSparkModel(t, modelDir, "acme")
+	s, err := New(Config{ModelDir: modelDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	c := &Client{Base: hs.URL, Tenant: "acme"}
+	if _, err := c.IngestRecords(testRecords("sess-1", 5)); err != nil {
+		t.Fatal(err)
+	}
+	tn, _ := s.Tenant("acme")
+	tn.control(func() {}, true)
+	expect := func(want ...string) {
+		t.Helper()
+		text, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range want {
+			if !strings.Contains(text, w) {
+				t.Errorf("metrics scrape missing %q", w)
+			}
+		}
+	}
+	// Five distinct unmatched renderings: five cached misses.
+	expect(
+		"# TYPE intellogd_lookup_cache_entries gauge",
+		"# TYPE intellogd_lookup_cache_declined_total counter",
+		`intellogd_lookup_cache_entries{tenant="acme"} 5`,
+		`intellogd_lookup_cache_declined_total{tenant="acme"} 0`,
+	)
+
+	cache := tn.det.Cache
+	for i := cache.Len(); i < spell.DefaultLookupCacheSize; i++ {
+		cache.AddAux(fmt.Sprintf("filler %d", i), nil, nil)
+	}
+	cache.AddAux("first sighting", nil, nil)
+	expect(
+		fmt.Sprintf(`intellogd_lookup_cache_entries{tenant="acme"} %d`, spell.DefaultLookupCacheSize),
+		`intellogd_lookup_cache_declined_total{tenant="acme"} 1`,
+	)
 }
 
 // TestTenantErrors maps bad and unknown tenants to 400 and 404.

@@ -10,12 +10,79 @@ package spell_test
 //	go test -run '^$' -fuzz FuzzSpellConsume ./internal/spell/
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"intellog/internal/nlp"
 	"intellog/internal/spell"
 )
+
+// FuzzLookupCache drives a small LookupCache (capacity 1–8, from the
+// first byte) with a fuzzer-chosen sequence of GetAux, Peek and AddAux
+// calls over twelve renderings, against a map holding each rendering's
+// last AddAux. Eviction and the doorkeeper may drop any entry, so a miss
+// is always allowed. What may never happen: a hit returning anything but
+// the last AddAux's key and aux, a Peek whose canonical string is not the
+// rendering, an AddAux below capacity that is not admitted, or Len past
+// the capacity.
+//
+//	go test -run '^$' -fuzz FuzzLookupCache ./internal/spell/
+func FuzzLookupCache(f *testing.F) {
+	f.Add([]byte("\x02\x02\x06\x0a\x00\x0e\x0e\x05\x0d\x01"))
+	f.Add([]byte("\x00\x02\x03\x00\x06\x06\x04\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		capacity := int(data[0]%8) + 1
+		c := spell.NewLookupCache(capacity)
+		keys := []*spell.Key{nil, {ID: 1}, {ID: 2}}
+		type added struct {
+			key *spell.Key
+			aux any
+		}
+		last := map[string]added{}
+		check := func(op, msg string, key *spell.Key, aux any) {
+			want, ok := last[msg]
+			if !ok {
+				t.Fatalf("%s(%q) hit a rendering never added", op, msg)
+			}
+			if key != want.key || aux != want.aux {
+				t.Fatalf("%s(%q) = (%v, %v), want the last AddAux's (%v, %v)", op, msg, key, aux, want.key, want.aux)
+			}
+		}
+		for n, b := range data[1:] {
+			msg := fmt.Sprintf("rendering %d", int(b>>2)%12)
+			switch b & 3 {
+			case 0:
+				if key, aux, hit := c.GetAux(msg); hit {
+					check("GetAux", msg, key, aux)
+				}
+			case 1:
+				if canon, key, aux, hit := c.Peek([]byte(msg)); hit {
+					if canon != msg {
+						t.Fatalf("Peek(%q) returned canonical string %q", msg, canon)
+					}
+					check("Peek", msg, key, aux)
+				}
+			default:
+				below := c.Len() < capacity
+				key := keys[n%len(keys)]
+				c.AddAux(msg, key, n)
+				last[msg] = added{key, n}
+				if _, key, aux, hit := c.Peek([]byte(msg)); hit {
+					check("Peek after AddAux", msg, key, aux)
+				} else if below {
+					t.Fatalf("AddAux(%q) at Len %d < capacity %d was not admitted", msg, c.Len(), capacity)
+				}
+			}
+			if l := c.Len(); l > capacity {
+				t.Fatalf("Len = %d, capacity %d", l, capacity)
+			}
+		}
+	})
+}
 
 func FuzzSpellConsume(f *testing.F) {
 	f.Add([]byte("Registering worker node_01\nRegistered worker node_01\nbufstart=11 bufend=22"))

@@ -50,6 +50,7 @@ if [ "${FUZZ:-0}" = "1" ]; then
 	ft="${FUZZTIME:-20s}"
 	echo "==> native fuzz targets (${ft} each)"
 	go test -run '^$' -fuzz '^FuzzSpellConsume$' -fuzztime "$ft" ./internal/spell/
+	go test -run '^$' -fuzz '^FuzzLookupCache$' -fuzztime "$ft" ./internal/spell/
 	go test -run '^$' -fuzz '^FuzzExtract$' -fuzztime "$ft" ./internal/extract/
 	go test -run '^$' -fuzz '^FuzzStreamConsume$' -fuzztime "$ft" ./internal/detect/
 	go test -run '^$' -fuzz '^FuzzCheckpointRoundTrip$' -fuzztime "$ft" ./internal/core/
