@@ -39,17 +39,11 @@ import (
 // so the first fill takes no growth step. Grow handles bigger batches.
 const DefaultRecordCap = 512
 
-// defaultShardCap bounds one shard's parked batches. Shards × cap ×
-// DefaultRecordCap records is the pool's worst-case parked footprint
-// (~poolShards*32*512 record headers, a few MB); beyond it a released
-// batch is surrendered to the GC instead of parked.
-const defaultShardCap = 32
-
-// poolShards spreads Get/Put across independent locks. Ingest runs a
-// handful of handler goroutines plus the tenant workers, so a small
-// fixed fan-out keeps the freelist essentially uncontended without
-// per-P machinery.
-const poolShards = 8
+// maxParked bounds the freelist. maxParked × DefaultRecordCap record
+// headers is the pool's worst-case parked footprint (≈ 17 MB of 128-byte
+// records); beyond it a released batch is surrendered to the GC instead
+// of parked.
+const maxParked = 256
 
 // Batch is one pooled record batch. Recs is the live fill — callers
 // append to it directly (or through Append) and may re-slice it in
@@ -78,31 +72,25 @@ type leakCanary struct {
 	capa int
 }
 
-// Pool is a sharded free list of Batches. The zero value is not usable;
-// call NewPool. All methods are safe for concurrent use.
+// Pool is a LIFO free list of Batches under one mutex. The zero value
+// is not usable; call NewPool. All methods are safe for concurrent use.
+//
+// One list suffices: ingest runs a handful of handler goroutines plus
+// the tenant workers, the critical section is a slice push or pop, and
+// a rent after a release on one goroutine gets the batch it just
+// released back (LIFO keeps it cache-warm).
 type Pool struct {
-	shards [poolShards]poolShard
-	next   atomic.Uint32 // round-robin shard cursor
-
-	hits        atomic.Uint64 // Get served from the chosen shard
-	steals      atomic.Uint64 // Get served from another shard's list
-	misses      atomic.Uint64 // Get allocated fresh (every list empty)
-	outstanding atomic.Int64  // live batches (Get minus Release)
-	leaked      atomic.Uint64 // dropped-without-Release batches (leak-detect mode)
-
-	mu         sync.Mutex
-	leakReport func(recordCap int) // test hook, set by DetectLeaks
-
-	recordCap int
-	shardCap  int
-}
-
-type poolShard struct {
 	mu   sync.Mutex
 	free []*Batch
-	// pad the shard to its own cache line so two shards' locks never
-	// false-share.
-	_ [40]byte
+
+	// Accounting, all under mu.
+	hits        uint64              // Get served from the freelist
+	misses      uint64              // Get allocated fresh (freelist empty)
+	outstanding int64               // live batches (Get minus Release)
+	leaked      uint64              // dropped-without-Release batches (leak-detect mode)
+	leakReport  func(recordCap int) // test hook, set by DetectLeaks
+
+	recordCap int
 }
 
 // NewPool builds a pool whose fresh batches start with capacity
@@ -111,32 +99,32 @@ func NewPool(recordCap int) *Pool {
 	if recordCap <= 0 {
 		recordCap = DefaultRecordCap
 	}
-	return &Pool{recordCap: recordCap, shardCap: defaultShardCap}
+	return &Pool{recordCap: recordCap}
 }
 
 // Get rents a batch with len(Recs) == 0. The caller owns it until it
 // either calls Release or hands ownership to exactly one next owner.
 func (p *Pool) Get() *Batch {
-	idx := p.next.Add(1)
-	home := int(idx % poolShards)
-	b := p.shards[home].pop()
-	switch {
-	case b != nil:
-		p.hits.Add(1)
-	default:
-		for i := 1; i < poolShards && b == nil; i++ {
-			b = p.shards[(home+i)%poolShards].pop()
-		}
-		if b != nil {
-			p.steals.Add(1)
-		} else {
-			p.misses.Add(1)
-			b = &Batch{Recs: make([]logging.Record, 0, p.recordCap), pool: p}
-		}
+	var b *Batch
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		b = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.hits++
+	} else {
+		p.misses++
+	}
+	p.outstanding++
+	report := p.leakReport
+	p.mu.Unlock()
+	if b == nil {
+		b = &Batch{Recs: make([]logging.Record, 0, p.recordCap), pool: p}
 	}
 	b.live.Store(1)
-	p.outstanding.Add(1)
-	p.armCanary(b)
+	if report != nil {
+		p.armCanary(b)
+	}
 	return b
 }
 
@@ -165,48 +153,26 @@ func (b *Batch) Release() {
 	if !b.live.CompareAndSwap(1, 0) {
 		panic(fmt.Sprintf("batch: double release of %d-cap batch", cap(b.Recs)))
 	}
-	p := b.pool
-	p.outstanding.Add(-1)
-	p.disarmCanary(b)
+	if b.canary != nil {
+		runtime.SetFinalizer(b.canary, nil)
+	}
 	b.Recs = b.Recs[:0]
-	idx := p.next.Add(1)
-	if !p.shards[int(idx%poolShards)].push(b, p.shardCap) {
-		// Freelist full: surrender the batch to the GC. The canary is
-		// already disarmed, so this is not a leak.
-		b.pool = nil
+	p := b.pool
+	p.mu.Lock()
+	p.outstanding--
+	// A full freelist surrenders the batch to the GC; its canary is
+	// already disarmed, so that is not a leak.
+	if len(p.free) < maxParked {
+		p.free = append(p.free, b)
 	}
-}
-
-func (sh *poolShard) pop() *Batch {
-	sh.mu.Lock()
-	n := len(sh.free)
-	if n == 0 {
-		sh.mu.Unlock()
-		return nil
-	}
-	b := sh.free[n-1]
-	sh.free[n-1] = nil
-	sh.free = sh.free[:n-1]
-	sh.mu.Unlock()
-	return b
-}
-
-func (sh *poolShard) push(b *Batch, max int) bool {
-	sh.mu.Lock()
-	if len(sh.free) >= max {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.free = append(sh.free, b)
-	sh.mu.Unlock()
-	return true
+	p.mu.Unlock()
 }
 
 // Stats is a point-in-time snapshot of the pool's accounting.
 type Stats struct {
-	// Hits, Steals and Misses partition every Get: served from the home
-	// shard, served from a sibling shard, or freshly allocated.
-	Hits, Steals, Misses uint64
+	// Hits and Misses partition every Get: served from the freelist, or
+	// freshly allocated.
+	Hits, Misses uint64
 	// Outstanding is the number of live batches right now. At quiesce it
 	// must be zero; a steadily growing floor is a leak.
 	Outstanding int64
@@ -217,13 +183,9 @@ type Stats struct {
 
 // Stats snapshots the counters.
 func (p *Pool) Stats() Stats {
-	return Stats{
-		Hits:        p.hits.Load(),
-		Steals:      p.steals.Load(),
-		Misses:      p.misses.Load(),
-		Outstanding: p.outstanding.Load(),
-		Leaked:      p.leaked.Load(),
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return Stats{Hits: p.hits, Misses: p.misses, Outstanding: p.outstanding, Leaked: p.leaked}
 }
 
 // DetectLeaks arms the leak detector: from now on every batch carries a
@@ -241,31 +203,18 @@ func (p *Pool) DetectLeaks(report func(recordCap int)) {
 	p.mu.Unlock()
 }
 
+// armCanary gives b a finalizer-armed canary (leak-detect mode only).
 func (p *Pool) armCanary(b *Batch) {
-	p.mu.Lock()
-	report := p.leakReport
-	p.mu.Unlock()
-	if report == nil {
-		return
-	}
 	if b.canary == nil {
-		b.canary = &leakCanary{pool: p, capa: cap(b.Recs)}
+		b.canary = &leakCanary{pool: p}
 	}
 	b.canary.capa = cap(b.Recs)
 	runtime.SetFinalizer(b.canary, func(c *leakCanary) {
-		c.pool.leaked.Add(1)
-		c.pool.outstanding.Add(-1)
 		c.pool.mu.Lock()
+		c.pool.leaked++
+		c.pool.outstanding--
 		rep := c.pool.leakReport
 		c.pool.mu.Unlock()
-		if rep != nil {
-			rep(c.capa)
-		}
+		rep(c.capa)
 	})
-}
-
-func (p *Pool) disarmCanary(b *Batch) {
-	if b.canary != nil {
-		runtime.SetFinalizer(b.canary, nil)
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"intellog/internal/batch"
 	"intellog/internal/conformance"
 	"intellog/internal/logging"
+	"intellog/internal/wal"
 )
 
 // TestPooledDecodeDifferential pins the pooled batch lifecycle against
@@ -53,7 +54,7 @@ func TestPooledDecodeDifferential(t *testing.T) {
 
 			// ILS1 wire: one encoded frame body, decoded into a fresh
 			// slice and into a recycled pooled batch.
-			body := appendBatch(nil, 7, recs)
+			body := wal.AppendBatch(nil, 7, recs)
 			_, fresh, err := decodeBatch(body, &batchResolver{intern: &wireIntern{}}, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -8,9 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync"
 
+	"intellog/internal/batch"
 	"intellog/internal/detect"
 	"intellog/internal/logging"
 	"intellog/internal/wal"
@@ -185,20 +185,66 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	fw := s.cfg.DefaultFramework
-	formatter := t.formatter
-	if q := r.URL.Query().Get("framework"); q != "" {
-		fw = logging.Framework(q)
-		if !fw.Known() {
-			httpError(w, http.StatusBadRequest, "unknown framework %q", q)
+	fw, formatter, ok := s.frameworkOf(w, r, t)
+	if !ok {
+		return
+	}
+	b, skipped, dead, err := s.decodeIngest(w, r, t, fw, formatter)
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				"request body exceeds %d bytes; split the batch", mbe.Limit)
 			return
 		}
-		// Raw lines parse through the requested framework's formatter,
-		// not the tenant default — the parameter applies to both wire
-		// forms or not at all.
-		formatter = logging.FormatterFor(fw)
+		httpError(w, http.StatusBadRequest, "read body: %v", err)
+		return
 	}
+	accepted := b.Len()
+	switch verdict, err := t.admit(b, skipped, dead); verdict {
+	case admitTooLarge:
+		httpError(w, http.StatusRequestEntityTooLarge,
+			"batch of %d records exceeds tenant %s's whole queue budget (%d) and can never be admitted; split the batch",
+			accepted, t.name, s.cfg.QueueRecords)
+	case admitWALFailed:
+		httpError(w, http.StatusInternalServerError,
+			"tenant %s write-ahead log failed; batch not accepted: %v", t.name, err)
+	case admitQueueFull:
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests,
+			"tenant %s ingest queue full (%d records budget); retry later", t.name, s.cfg.QueueRecords)
+	default:
+		writeJSON(w, http.StatusAccepted,
+			IngestResponse{Accepted: accepted, Skipped: skipped, DeadLettered: len(dead)})
+	}
+}
 
+// frameworkOf resolves a request's ?framework= parameter into the
+// framework stamped on records that name none and the formatter raw
+// lines parse through (the tenant default when absent — the parameter
+// applies to both wire forms or not at all). An unknown name answers
+// 400 and returns ok=false.
+func (s *Server) frameworkOf(w http.ResponseWriter, r *http.Request, t *tenant) (logging.Framework, logging.Formatter, bool) {
+	q := r.URL.Query().Get("framework")
+	if q == "" {
+		return s.cfg.DefaultFramework, t.formatter, true
+	}
+	fw := logging.Framework(q)
+	if !fw.Known() {
+		httpError(w, http.StatusBadRequest, "unknown framework %q", q)
+		return "", nil, false
+	}
+	return fw, logging.FormatterFor(fw), true
+}
+
+// decodeIngest scans an NDJSON request body into a rented batch,
+// classifying each line: valid records fill the batch, lines without a
+// session are counted, and invalid records collect as dead letters (one
+// bad record must not poison its neighbors). A read error — the body
+// cap, or a broken connection — releases the batch and returns the
+// error; otherwise the caller owns the batch.
+func (s *Server) decodeIngest(w http.ResponseWriter, r *http.Request, t *tenant,
+	fw logging.Framework, formatter logging.Formatter) (*batch.Batch, int, []wal.DeadLetter, error) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	scanner := bufio.NewScanner(body)
 	sb := scanBufs.Get().([]byte)
@@ -207,21 +253,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// a line past MaxRecordBytes is read whole and dead-lettered as one
 	// record, not turned into a scan error that fails its whole batch.
 	scanner.Buffer(sb, s.scanLineLimit())
-	// Decode into a rented batch, pre-sized from the request size (~wire
-	// bytes per record) so append doesn't re-copy the record array. The
-	// handler owns it until enqueueBatch accepts it; every refusal path
-	// below must release it.
+	// Pre-size from the request size (~wire bytes per record) so append
+	// doesn't re-copy the record array.
 	b := s.batches.Get()
 	b.Grow(batchSizeHint(r.ContentLength))
-	resolver := &batchResolver{
-		intern: &wireIntern{},
-		msg: func(b []byte) string {
-			if canon, _, _, ok := t.det.Cache.Peek(b); ok {
-				return canon
-			}
-			return string(b)
-		},
-	}
+	resolver := t.resolver()
 	skipped := 0
 	var dead []wal.DeadLetter
 	for scanner.Scan() {
@@ -236,54 +272,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		case lineSkip:
 			skipped++
 		case lineDead:
-			// One bad record must not poison its neighbors: quarantine it
-			// with its reason and keep going. The entries are written only
-			// after the batch is admitted — a refused batch gets retried
-			// verbatim by the client and would duplicate them.
 			dead = append(dead, wal.DeadLetter{Reason: reason, Line: string(raw)})
 		}
 	}
 	if err := scanner.Err(); err != nil {
 		b.Release()
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes; split the batch", mbe.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
+		return nil, 0, nil, err
 	}
-	t.skipped.Add(uint64(skipped))
-
-	// A batch larger than the whole queue budget can never be admitted;
-	// a retryable 429 would send well-behaved clients (the replay client
-	// included) into a futile retry loop, so refuse it outright.
-	accepted := b.Len()
-	if accepted > s.cfg.QueueRecords {
-		b.Release()
-		httpError(w, http.StatusRequestEntityTooLarge,
-			"batch of %d records exceeds tenant %s's whole queue budget (%d) and can never be admitted; split the batch",
-			accepted, t.name, s.cfg.QueueRecords)
-		return
-	}
-	ok, err := t.enqueueBatch(b)
-	if err != nil {
-		b.Release()
-		httpError(w, http.StatusInternalServerError,
-			"tenant %s write-ahead log failed; batch not accepted: %v", t.name, err)
-		return
-	}
-	if !ok {
-		b.Release()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests,
-			"tenant %s ingest queue full (%d records budget); retry later", t.name, s.cfg.QueueRecords)
-		return
-	}
-	t.deadLetter(dead)
-	writeJSON(w, http.StatusAccepted,
-		IngestResponse{Accepted: accepted, Skipped: skipped, DeadLettered: len(dead)})
+	return b, skipped, dead, nil
 }
 
 // scanLineLimit is the ingest scanner's maximum token size: every line
@@ -362,24 +358,9 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	q := r.URL.Query()
-	var since uint64
-	if v := q.Get("since"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "since: %v", err)
-			return
-		}
-		since = n
-	}
-	limit := 1000
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			httpError(w, http.StatusBadRequest, "limit must be a positive integer")
-			return
-		}
-		limit = n
+	since, limit, ok := cursorParams(w, r)
+	if !ok {
+		return
 	}
 	anomalies, next, dropped := t.sink.after(since, limit)
 	if anomalies == nil {
@@ -511,24 +492,9 @@ func (s *Server) handleDLQ(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	q := r.URL.Query()
-	var since uint64
-	if v := q.Get("since"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "since: %v", err)
-			return
-		}
-		since = n
-	}
-	limit := 1000
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			httpError(w, http.StatusBadRequest, "limit must be a positive integer")
-			return
-		}
-		limit = n
+	since, limit, ok := cursorParams(w, r)
+	if !ok {
+		return
 	}
 	entries, next, depth := t.dlq.List(since, limit)
 	if entries == nil {
@@ -559,15 +525,9 @@ func (s *Server) handleDLQRequeue(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	fw := s.cfg.DefaultFramework
-	formatter := t.formatter
-	if q := r.URL.Query().Get("framework"); q != "" {
-		fw = logging.Framework(q)
-		if !fw.Known() {
-			httpError(w, http.StatusBadRequest, "unknown framework %q", q)
-			return
-		}
-		formatter = logging.FormatterFor(fw)
+	fw, formatter, ok := s.frameworkOf(w, r, t)
+	if !ok {
+		return
 	}
 	var req RequeueRequest
 	if r.ContentLength != 0 {
@@ -599,34 +559,27 @@ func (s *Server) handleDLQRequeue(w http.ResponseWriter, r *http.Request) {
 		b.Append(rec)
 		okSeqs = append(okSeqs, e.Seq)
 	}
-	if b.Len() > s.cfg.QueueRecords {
-		n := b.Len()
-		b.Release()
+	n := b.Len()
+	switch verdict, err := t.admit(b, 0, nil); verdict {
+	case admitTooLarge:
 		httpError(w, http.StatusRequestEntityTooLarge,
 			"%d requeueable records exceed tenant %s's whole queue budget (%d); requeue a subset via seqs",
 			n, t.name, s.cfg.QueueRecords)
-		return
-	}
-	ok, err := t.enqueueBatch(b)
-	if err != nil {
-		b.Release()
+	case admitWALFailed:
 		httpError(w, http.StatusInternalServerError,
 			"tenant %s write-ahead log failed; nothing requeued: %v", t.name, err)
-		return
-	}
-	if !ok {
-		b.Release()
+	case admitQueueFull:
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests,
 			"tenant %s ingest queue full; nothing requeued, retry later", t.name)
-		return
+	default:
+		t.dlq.Remove(okSeqs)
+		writeJSON(w, http.StatusOK, RequeueResponse{
+			Requeued: len(okSeqs),
+			Failed:   failed,
+			Depth:    t.dlq.Depth(),
+		})
 	}
-	t.dlq.Remove(okSeqs)
-	writeJSON(w, http.StatusOK, RequeueResponse{
-		Requeued: len(okSeqs),
-		Failed:   failed,
-		Depth:    t.dlq.Depth(),
-	})
 }
 
 // handleHealthz is the liveness probe.

@@ -546,7 +546,7 @@ func (s *Server) registerGauges() {
 		"ingest batches refused with 429 (backpressure) per tenant",
 		perTenant(func(t *tenant) float64 { return float64(t.rejected.Load()) }))
 	s.reg.CounterFunc("intellogd_ingest_skipped_total",
-		"ingested lines dropped (unparsable or no session) per tenant",
+		"ingested lines dropped (unparsable or no session) per tenant, counted once per accepted batch",
 		perTenant(func(t *tenant) float64 { return float64(t.skipped.Load()) }))
 	s.reg.GaugeFunc("intellogd_pending_sessions",
 		"in-flight sessions per tenant",
@@ -642,11 +642,13 @@ func (s *Server) registerGauges() {
 		})
 	one := func(v float64) []metrics.Sample { return []metrics.Sample{{Value: v}} }
 	s.reg.CounterFunc("intellogd_batch_pool_hits_total",
-		"batch-pool rentals served from the home freelist shard",
+		"batch-pool rentals served from the freelist",
 		func() []metrics.Sample { return one(float64(s.batches.Stats().Hits)) })
+	// The pool is one freelist, so nothing is ever stolen; the family
+	// stays registered at 0 because bench/ sums it into its hit share.
 	s.reg.CounterFunc("intellogd_batch_pool_steals_total",
-		"batch-pool rentals served by stealing from a sibling shard",
-		func() []metrics.Sample { return one(float64(s.batches.Stats().Steals)) })
+		"always 0: the batch pool is a single freelist with no sibling shards to steal from (kept for scrapers that sum it)",
+		func() []metrics.Sample { return one(0) })
 	s.reg.CounterFunc("intellogd_batch_pool_misses_total",
 		"batch-pool rentals that allocated a fresh batch",
 		func() []metrics.Sample { return one(float64(s.batches.Stats().Misses)) })

@@ -48,18 +48,14 @@ func testRecords(session string, n int) []logging.Record {
 	return recs
 }
 
-// enqueueRecords is enqueueBatch over a plain record slice: it copies
-// recs into a rented batch, admits it, and releases the rental itself on
-// refusal.
+// enqueueRecords is tenant.admit over a plain record slice: it copies
+// recs into a rented batch (which admit owns from then on) and reports
+// whether the batch was admitted.
 func (t *tenant) enqueueRecords(recs []logging.Record) (bool, error) {
 	b := t.srv.batches.Get()
-	b.Grow(len(recs))
 	b.Recs = append(b.Recs, recs...)
-	ok, err := t.enqueueBatch(b)
-	if !ok || err != nil {
-		b.Release()
-	}
-	return ok, err
+	verdict, err := t.admit(b, 0, nil)
+	return verdict == admitted, err
 }
 
 // TestBackpressure429 fills a tiny ingest queue behind a gated worker and

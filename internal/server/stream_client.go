@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"intellog/internal/logging"
+	"intellog/internal/wal"
 )
 
 // StreamConn is one persistent binary-protocol ingest connection (see
@@ -42,7 +43,7 @@ func (c *Client) DialStream(addr string, fw logging.Framework) (*StreamConn, err
 		bw:   bufio.NewWriterSize(conn, 256<<10),
 	}
 	sc.wbuf = append(sc.wbuf, streamMagic...)
-	sc.wbuf = appendFrame(sc.wbuf, frameHello, appendHello(nil, c.Tenant, fw))
+	sc.wbuf = wal.AppendFrame(sc.wbuf, frameHello, appendHello(nil, c.Tenant, fw))
 	if _, err := sc.bw.Write(sc.wbuf); err != nil {
 		conn.Close()
 		return nil, err
@@ -68,14 +69,14 @@ func (sc *StreamConn) Close() error { return sc.conn.Close() }
 
 // sendBatchFrame writes (without flushing) one Batch frame.
 func (sc *StreamConn) sendBatchFrame(seq uint64, recs []logging.Record) error {
-	sc.wbuf = appendFrame(sc.wbuf[:0], frameBatch, appendBatch(nil, seq, recs))
+	sc.wbuf = wal.AppendFrame(sc.wbuf[:0], frameBatch, wal.AppendBatch(nil, seq, recs))
 	_, err := sc.bw.Write(sc.wbuf)
 	return err
 }
 
 // readAck reads the next Ack frame.
 func (sc *StreamConn) readAck() (streamAck, error) {
-	typ, body, rbuf, err := readFrame(sc.br, sc.rbuf, 0)
+	typ, body, rbuf, err := wal.ReadFrame(sc.br, sc.rbuf, 0)
 	sc.rbuf = rbuf
 	if err != nil {
 		if err == io.EOF {
@@ -84,7 +85,7 @@ func (sc *StreamConn) readAck() (streamAck, error) {
 		return streamAck{}, err
 	}
 	if typ != frameAck {
-		return streamAck{}, wireErrf("expected ack, got frame type %d", typ)
+		return streamAck{}, wal.Errf("expected ack, got frame type %d", typ)
 	}
 	return parseAck(body)
 }
@@ -109,7 +110,7 @@ func (sc *StreamConn) Send(recs []logging.Record) (IngestResponse, error) {
 		return IngestResponse{}, err
 	}
 	if ack.Seq != sc.seq {
-		return IngestResponse{}, wireErrf("ack for seq %d, want %d", ack.Seq, sc.seq)
+		return IngestResponse{}, wal.Errf("ack for seq %d, want %d", ack.Seq, sc.seq)
 	}
 	switch ack.Status {
 	case ackAccepted:
@@ -251,7 +252,7 @@ func replayStreamWorker(sc *StreamConn, recs []logging.Record, opts StreamReplay
 		}
 		front := &inflight[0]
 		if ack.Seq != front.seq {
-			return wireErrf("ack for seq %d, want %d", ack.Seq, front.seq)
+			return wal.Errf("ack for seq %d, want %d", ack.Seq, front.seq)
 		}
 		switch ack.Status {
 		case ackAccepted:
@@ -273,7 +274,7 @@ func replayStreamWorker(sc *StreamConn, recs []logging.Record, opts StreamReplay
 					return err
 				}
 				if tail.Seq != inflight[i].seq || tail.Status != ackRetryEarly {
-					return wireErrf("expected 425 for seq %d, got %d for seq %d",
+					return wal.Errf("expected 425 for seq %d, got %d for seq %d",
 						inflight[i].seq, tail.Status, tail.Seq)
 				}
 			}

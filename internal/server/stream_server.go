@@ -92,13 +92,13 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 		return err
 	}
 	if string(magic[:]) != streamMagic {
-		return wireErrf("bad magic %q", magic[:])
+		return wal.Errf("bad magic %q", magic[:])
 	}
 
 	maxFrame := int(s.cfg.MaxBodyBytes)
 	var fbuf, abuf []byte
 	sendAck := func(a streamAck) error {
-		abuf = appendFrame(abuf[:0], frameAck, appendAck(nil, a))
+		abuf = wal.AppendFrame(abuf[:0], frameAck, appendAck(nil, a))
 		if _, err := bw.Write(abuf); err != nil {
 			return err
 		}
@@ -111,12 +111,12 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 		return bw.Flush()
 	}
 
-	typ, body, fbuf, err := readFrame(br, fbuf, maxFrame)
+	typ, body, fbuf, err := wal.ReadFrame(br, fbuf, maxFrame)
 	if err != nil {
 		return err
 	}
 	if typ != frameHello {
-		return wireErrf("expected hello, got frame type %d", typ)
+		return wal.Errf("expected hello, got frame type %d", typ)
 	}
 	tenantName, fw, err := parseHello(body)
 	if err != nil {
@@ -127,7 +127,7 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 		fw = s.cfg.DefaultFramework
 	}
 	if !fw.Known() {
-		err := wireErrf("unknown framework %q", fw)
+		err := wal.Errf("unknown framework %q", fw)
 		sendAck(streamAck{Status: ackBadRecord, Msg: err.Error()})
 		return err
 	}
@@ -148,28 +148,14 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 	}
 	conn.SetReadDeadline(time.Time{})
 
-	// The per-connection resolver: small fields dedup through a bounded
-	// intern table; message bytes resolve against the model's lookup
-	// cache first, so the overwhelmingly common repeat-rendering costs
-	// no allocation and the detector's own cache probe later hits the
-	// very same string.
-	intern := &wireIntern{}
-	resolver := &batchResolver{
-		intern: intern,
-		msg: func(b []byte) string {
-			if canon, _, _, ok := t.det.Cache.Peek(b); ok {
-				return canon
-			}
-			return string(b)
-		},
-	}
+	resolver := t.resolver()
 
 	// resyncSeq, when non-zero, is the refused frame the client must
 	// retransmit next; frames with any other seq bounce with 425 so the
 	// accepted stream keeps per-session order (go-back-N).
 	var resyncSeq uint64
 	for {
-		typ, body, fbuf, err = readFrame(br, fbuf, maxFrame)
+		typ, body, fbuf, err = wal.ReadFrame(br, fbuf, maxFrame)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				// Clean end of stream: client closed after its last ack.
@@ -178,7 +164,7 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 			return err
 		}
 		if typ != frameBatch {
-			return wireErrf("unexpected frame type %d", typ)
+			return wal.Errf("unexpected frame type %d", typ)
 		}
 		select {
 		case <-s.closed:
@@ -216,14 +202,13 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 	}
 }
 
-// admitStreamBatch validates and enqueues one decoded batch, mirroring
+// admitStreamBatch validates and admits one decoded batch, mirroring
 // handleIngest's admission rules record for record: an invalid record
 // (no message, oversized) dead-letters individually instead of failing
-// the frame, so one bad record no longer rejects its neighbors.
-//
-// It always takes ownership of the rented batch: enqueue consumes it on
-// acceptance, every refusal releases it before the ack goes back (a
-// refused frame is retransmitted and decoded into a fresh rental).
+// the frame, so one bad record no longer rejects its neighbors. The
+// batch passes to tenant.admit, which owns it on every outcome (a
+// refused frame is retransmitted and decoded into a fresh rental); this
+// only renders the verdict as an ack.
 func (s *Server) admitStreamBatch(t *tenant, fw logging.Framework, seq uint64, b *batch.Batch) streamAck {
 	recs := b.Recs
 	kept := recs[:0]
@@ -244,24 +229,17 @@ func (s *Server) admitStreamBatch(t *tenant, fw logging.Framework, seq uint64, b
 		kept = append(kept, recs[i])
 	}
 	b.Recs = kept
-	t.skipped.Add(uint64(skipped))
-	if len(kept) > s.cfg.QueueRecords {
-		b.Release()
+	switch verdict, err := t.admit(b, skipped, dead); verdict {
+	case admitTooLarge:
 		return streamAck{Seq: seq, Status: ackTooLarge, Skipped: skipped,
 			Msg: "batch exceeds the tenant queue budget; split it"}
-	}
-	ok, err := t.enqueueBatch(b)
-	if err != nil {
-		b.Release()
+	case admitWALFailed:
 		return streamAck{Seq: seq, Status: ackShutdown, Skipped: skipped,
 			Msg: "write-ahead log failed; batch not accepted: " + err.Error()}
-	}
-	if !ok {
-		b.Release()
+	case admitQueueFull:
 		return streamAck{Seq: seq, Status: ackQueueFull, Skipped: skipped,
 			RetryMs: 1000, Msg: "ingest queue full"}
 	}
-	t.deadLetter(dead)
 	s.reg.Counter("intellogd_stream_batches_total",
 		"binary ingest batches accepted, per tenant",
 		metrics.Label{Key: "tenant", Value: t.name}).Inc()

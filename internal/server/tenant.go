@@ -266,33 +266,64 @@ func routeSession(id string, n int) int {
 	return int(h % uint32(n))
 }
 
-// enqueueBatch admits a pooled record batch under the per-tenant budget.
-// Admission is two-staged: reserve record budget, then an all-or-nothing
-// placement of the batch's per-worker splits — if either stage fails the
-// batch is refused (the caller answers 429) and nothing is buffered, so
-// a saturated tenant holds at most QueueRecords records plus the
-// in-flight tasks, never an unbounded backlog. A non-nil error means the
-// write-ahead append failed after admission succeeded: the batch is NOT
-// buffered and the caller must answer a hard failure (500/503), never an
-// ack — acking what the WAL could not hold would silently re-open the
-// crash window.
+// admission is one batch's admission verdict: the single outcome every
+// admission site (both ingest wires and DLQ requeue) renders, as an HTTP
+// status or an ack.
+type admission int
+
+const (
+	admitted       admission = iota // queued and logged: ack it
+	admitTooLarge                   // exceeds the whole queue budget: can never be admitted
+	admitQueueFull                  // over the budget right now: retry later
+	admitWALFailed                  // the write-ahead append failed: never ack
+)
+
+// admit admits a pooled record batch under the per-tenant budget and
+// takes ownership of it on every outcome: an admitted batch is queued
+// (a worker releases it after the detector consumes it), a refused one
+// is released here. A batch larger than the whole budget is refused
+// outright (a retryable 429 would send well-behaved clients into a
+// futile retry loop). Otherwise admission is two-staged: reserve record
+// budget, then an all-or-nothing placement of the batch's per-worker
+// splits — if either stage fails the batch is refused and nothing is
+// buffered, so a saturated tenant holds at most QueueRecords records
+// plus the in-flight tasks, never an unbounded backlog. admitWALFailed
+// (with its error) means the write-ahead append failed after admission
+// succeeded: the batch is NOT buffered and the caller must answer a hard
+// failure (500/503), never an ack — acking what the WAL could not hold
+// would silently re-open the crash window.
 //
-// Ownership: the batch is consumed (queued, ultimately released by a
-// worker) exactly when enqueueBatch returns (true, nil). On every other
-// outcome the caller still owns it — typically to release it after
-// writing the refusal.
-func (t *tenant) enqueueBatch(b *batch.Batch) (bool, error) {
-	if b.Len() == 0 {
+// Only an admitted batch counts its request's skipped lines and writes
+// its dead letters: a refused batch is retried verbatim by the client,
+// and counting either on refusal would count it once per attempt.
+func (t *tenant) admit(b *batch.Batch, skipped int, dead []wal.DeadLetter) (admission, error) {
+	verdict, err := t.enqueue(b)
+	if verdict != admitted {
 		b.Release()
-		return true, nil
+		return verdict, err
 	}
+	t.skipped.Add(uint64(skipped))
+	t.deadLetter(dead)
+	return admitted, nil
+}
+
+// enqueue is admit's budget check and placement. It consumes b exactly
+// when it returns admitted.
+func (t *tenant) enqueue(b *batch.Batch) (admission, error) {
 	n := int64(b.Len())
 	max := int64(t.srv.cfg.QueueRecords)
+	switch {
+	case n == 0:
+		b.Release()
+		return admitted, nil
+	case n > max:
+		return admitTooLarge, nil
+	}
 	for {
 		cur := t.pending.Load()
 		if cur+n > max {
 			t.rejected.Add(1)
-			return false, nil
+			return admitQueueFull, nil
 		}
 		if t.pending.CompareAndSwap(cur, cur+n) {
 			break
@@ -301,14 +332,24 @@ func (t *tenant) enqueueBatch(b *batch.Batch) (bool, error) {
 	ok, err := t.sendBatch(b)
 	if !ok || err != nil {
 		t.pending.Add(-n)
-		if err == nil {
-			t.rejected.Add(1)
+		if err != nil {
+			return admitWALFailed, err
 		}
-		return false, err
+		t.rejected.Add(1)
+		return admitQueueFull, nil
 	}
 	t.records.Add(uint64(n))
 	t.batches.Add(1)
-	return true, nil
+	return admitted, nil
+}
+
+// resolver builds the batchResolver one request or connection decodes
+// through: a fresh bounded intern table for the small fields, and the
+// model's lookup cache for messages, so the overwhelmingly common
+// repeat rendering costs no allocation and the detector's own cache
+// probe later hits the very same string.
+func (t *tenant) resolver() *batchResolver {
+	return &batchResolver{intern: &wireIntern{}, cache: t.det.Cache}
 }
 
 // sendBatch splits a batch by session route (preserving input order
@@ -396,7 +437,7 @@ func (t *tenant) walAppend(recs []logging.Record) error {
 }
 
 // deadLetter quarantines records that failed per-record validation.
-// Callers append only after their batch's valid records were admitted —
+// admit calls it only once their batch's valid records are admitted —
 // a refused (429/413) batch will be retried by the client verbatim, and
 // dead-lettering it early would duplicate the entries.
 func (t *tenant) deadLetter(ls []wal.DeadLetter) {

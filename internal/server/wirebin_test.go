@@ -10,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"intellog/internal/conformance"
 	"intellog/internal/logging"
+	"intellog/internal/spell"
+	"intellog/internal/wal"
 )
 
 // wireRecords is a record set that exercises every encoding edge the
@@ -51,14 +54,14 @@ func wireRecords() []logging.Record {
 
 func TestWireFrameRoundTrip(t *testing.T) {
 	var buf []byte
-	buf = appendFrame(buf, frameHello, appendHello(nil, "acme", logging.Spark))
-	buf = appendFrame(buf, frameBatch, appendBatch(nil, 7, wireRecords()))
-	buf = appendFrame(buf, frameAck, appendAck(nil, streamAck{Seq: 7, Status: ackAccepted, Accepted: 4}))
+	buf = wal.AppendFrame(buf, frameHello, appendHello(nil, "acme", logging.Spark))
+	buf = wal.AppendFrame(buf, frameBatch, wal.AppendBatch(nil, 7, wireRecords()))
+	buf = wal.AppendFrame(buf, frameAck, appendAck(nil, streamAck{Seq: 7, Status: ackAccepted, Accepted: 4}))
 
 	r := bytes.NewReader(buf)
 	var fbuf []byte
 
-	typ, body, fbuf, err := readFrame(r, fbuf, 0)
+	typ, body, fbuf, err := wal.ReadFrame(r, fbuf, 0)
 	if err != nil || typ != frameHello {
 		t.Fatalf("hello frame: type=%d err=%v", typ, err)
 	}
@@ -67,7 +70,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		t.Fatalf("parseHello = (%q, %q, %v)", tenant, fw, err)
 	}
 
-	typ, body, fbuf, err = readFrame(r, fbuf, 0)
+	typ, body, fbuf, err = wal.ReadFrame(r, fbuf, 0)
 	if err != nil || typ != frameBatch {
 		t.Fatalf("batch frame: type=%d err=%v", typ, err)
 	}
@@ -97,7 +100,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		}
 	}
 
-	typ, body, _, err = readFrame(r, fbuf, 0)
+	typ, body, _, err = wal.ReadFrame(r, fbuf, 0)
 	if err != nil || typ != frameAck {
 		t.Fatalf("ack frame: type=%d err=%v", typ, err)
 	}
@@ -126,7 +129,7 @@ func TestWireAckRoundTrip(t *testing.T) {
 }
 
 func TestReadFrameRejectsMalformed(t *testing.T) {
-	valid := appendFrame(nil, frameAck, appendAck(nil, streamAck{Status: ackAccepted}))
+	valid := wal.AppendFrame(nil, frameAck, appendAck(nil, streamAck{Status: ackAccepted}))
 
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)-1] ^= 0xff // flip a CRC byte
@@ -157,14 +160,14 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, _, err := readFrame(bytes.NewReader(tc.data), nil, 1<<20)
+			_, _, _, err := wal.ReadFrame(bytes.NewReader(tc.data), nil, 1<<20)
 			if err == nil {
 				t.Fatal("readFrame accepted malformed input")
 			}
-			if tc.wire && !errors.Is(err, errWire) {
+			if tc.wire && !errors.Is(err, wal.ErrWire) {
 				t.Fatalf("err = %v, want a wire protocol error", err)
 			}
-			if !tc.wire && errors.Is(err, errWire) {
+			if !tc.wire && errors.Is(err, wal.ErrWire) {
 				t.Fatalf("err = %v, want a plain I/O error", err)
 			}
 		})
@@ -172,14 +175,14 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 }
 
 func TestDecodeBatchRejectsMalformed(t *testing.T) {
-	good := appendBatch(nil, 1, wireRecords())
+	good := wal.AppendBatch(nil, 1, wireRecords())
 	cases := []struct {
 		name string
 		body []byte
 	}{
 		{"empty", nil},
 		{"bare seq", good[:1]},
-		{"impossible count", append(appendBatch(nil, 1, nil)[:1], 0xff, 0xff, 0x03)},
+		{"impossible count", append(wal.AppendBatch(nil, 1, nil)[:1], 0xff, 0xff, 0x03)},
 		{"truncated record", good[:len(good)-2]},
 		{"trailing bytes", append(append([]byte(nil), good...), 0)},
 	}
@@ -235,21 +238,21 @@ func TestWireInternBounded(t *testing.T) {
 // batch body that does decode must re-encode and re-decode to the same
 // records (idempotence after the first decode).
 func FuzzWireFrame(f *testing.F) {
-	f.Add(append([]byte(nil), appendFrame(nil, frameHello, appendHello(nil, "acme", logging.Spark))...))
-	f.Add(appendFrame(nil, frameBatch, appendBatch(nil, 3, wireRecords())))
-	f.Add(appendFrame(nil, frameAck, appendAck(nil, streamAck{Seq: 3, Status: ackQueueFull, RetryMs: 1000, Msg: "full"})))
+	f.Add(append([]byte(nil), wal.AppendFrame(nil, frameHello, appendHello(nil, "acme", logging.Spark))...))
+	f.Add(wal.AppendFrame(nil, frameBatch, wal.AppendBatch(nil, 3, wireRecords())))
+	f.Add(wal.AppendFrame(nil, frameAck, appendAck(nil, streamAck{Seq: 3, Status: ackQueueFull, RetryMs: 1000, Msg: "full"})))
 	f.Add([]byte{4, 0, 0, 0, frameBatch})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})
-	corrupt := appendFrame(nil, frameBatch, appendBatch(nil, 1, wireRecords()[:1]))
+	corrupt := wal.AppendFrame(nil, frameBatch, wal.AppendBatch(nil, 1, wireRecords()[:1]))
 	corrupt[len(corrupt)-2] ^= 0x40
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
-			typ, body, _, err := readFrame(r, nil, 1<<20)
+			typ, body, _, err := wal.ReadFrame(r, nil, 1<<20)
 			if err != nil {
-				if err != io.EOF && !errors.Is(err, errWire) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				if err != io.EOF && !errors.Is(err, wal.ErrWire) && !errors.Is(err, io.ErrUnexpectedEOF) {
 					t.Fatalf("unexpected error class: %v", err)
 				}
 				return
@@ -264,7 +267,8 @@ func FuzzWireFrame(f *testing.F) {
 				if err != nil {
 					continue
 				}
-				again := appendBatch(nil, seq, recs)
+				assertPlainDecodeAgrees(t, body, recs)
+				again := wal.AppendBatch(nil, seq, recs)
 				seq2, recs2, err := decodeBatch(again, &batchResolver{intern: &wireIntern{}}, nil)
 				if err != nil {
 					t.Fatalf("re-decode of re-encoded batch failed: %v", err)
@@ -285,4 +289,78 @@ func FuzzWireFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// plainDecodeBatch decodes a Batch body the WAL-replay way: the frame
+// header by hand, then every record through wal.DecodeRecord's plain
+// string copies.
+func plainDecodeBatch(t *testing.T, body []byte) []logging.Record {
+	t.Helper()
+	_, p, ok := wal.Uvarint(body)
+	if !ok {
+		t.Fatal("plain decode: bad seq")
+	}
+	count, p, ok := wal.Uvarint(p)
+	if !ok {
+		t.Fatal("plain decode: bad count")
+	}
+	var out []logging.Record
+	for i := uint64(0); i < count; i++ {
+		rec, rest, err := wal.DecodeRecord(p)
+		if err != nil {
+			t.Fatalf("plain decode: record %d: %v", i, err)
+		}
+		out = append(out, rec)
+		p = rest
+	}
+	return out
+}
+
+// assertPlainDecodeAgrees checks decodeBatch's resolver-materialized
+// records against wal.DecodeRecord's plain copies of the same body,
+// field for field.
+func assertPlainDecodeAgrees(t *testing.T, body []byte, got []logging.Record) {
+	t.Helper()
+	want := plainDecodeBatch(t, body)
+	if len(got) != len(want) {
+		t.Fatalf("decodeBatch gave %d records, wal.DecodeRecord %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		_, goff := g.Time.Zone()
+		_, woff := w.Time.Zone()
+		if !g.Time.Equal(w.Time) || goff != woff || g.Time.IsZero() != w.Time.IsZero() {
+			t.Fatalf("record %d time: decodeBatch %v, wal.DecodeRecord %v", i, g.Time, w.Time)
+		}
+		g.Time, w.Time = time.Time{}, time.Time{}
+		if g != w {
+			t.Fatalf("record %d: decodeBatch %+v, wal.DecodeRecord %+v", i, g, w)
+		}
+	}
+}
+
+// TestDecodeBatchMatchesWALDecode runs every conformance corpus through
+// the one record decoder both ways — the serving wire's interning,
+// cache-resolving materialization and WAL replay's plain copies — and
+// requires identical records. Half the corpus's messages are cached
+// first, so both of the resolver's message branches are exercised.
+func TestDecodeBatchMatchesWALDecode(t *testing.T) {
+	for _, spec := range conformance.DefaultMatrix() {
+		t.Run(spec.Name, func(t *testing.T) {
+			recs := spec.Generate().Records
+			cache := spell.NewLookupCache(len(recs) + 1)
+			for i := 0; i < len(recs); i += 2 {
+				cache.AddAux(recs[i].Message, nil, nil)
+			}
+			br := &batchResolver{intern: &wireIntern{}, cache: cache}
+			for lo := 0; lo < len(recs); lo += 512 {
+				body := wal.AppendBatch(nil, uint64(lo+1), recs[lo:min(lo+512, len(recs))])
+				_, got, err := decodeBatch(body, br, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertPlainDecodeAgrees(t, body, got)
+			}
+		})
+	}
 }

@@ -5,9 +5,10 @@
 // instead of poisoning their batch.
 //
 // The frame vocabulary here is the ILS1 envelope the binary ingest
-// protocol already speaks (internal/server/wirebin.go binds to these
-// exported primitives), so one CRC/length/bounds discipline covers the
-// wire and the disk: a WAL segment is a sequence of ILS1 frames and a
+// protocol already speaks (internal/server/wirebin.go calls these
+// exported primitives and the record decoder directly), so one
+// CRC/length/bounds discipline and one record layout cover the wire
+// and the disk: a WAL segment is a sequence of ILS1 frames and a
 // torn tail is detected exactly like a corrupt wire frame — by length
 // bounds and CRC, never by trusting bytes.
 package wal
@@ -130,9 +131,11 @@ func AppendString(dst []byte, s string) []byte {
 // --- record codec ------------------------------------------------------
 
 // AppendRecord encodes one logging.Record in the ILS1 batch layout:
-// UnixNano + zone offset (ZeroTimeNano sentinel for the zero time),
-// varint level, then uvarint-prefixed source/message/framework/session/
-// template. The same bytes travel in wire Batch frames and WAL entries.
+// fixed-width LE UnixNano + zone offset in seconds (ZeroTimeNano
+// sentinel for the zero time), varint level, then uvarint-prefixed raw
+// source/message/framework/session/template bytes. UnixNano plus offset
+// round-trips everything RFC3339 can express (the JSON wire form's
+// fidelity). The same bytes travel in wire Batch frames and WAL entries.
 func AppendRecord(dst []byte, rec *logging.Record) []byte {
 	nano := ZeroTimeNano
 	off := 0
@@ -151,49 +154,86 @@ func AppendRecord(dst []byte, rec *logging.Record) []byte {
 	return dst
 }
 
-// DecodeRecord decodes one AppendRecord-encoded record, plain-copying
-// every string (the boot-time replay path; the serving wire keeps its
-// interning decoder in internal/server).
-func DecodeRecord(p []byte) (rec logging.Record, rest []byte, err error) {
+// AppendBatch encodes a record batch body: uvarint seq, uvarint record
+// count, then each record in AppendRecord's layout. It is both the ILS1
+// Batch frame body (seq numbers the frame) and the WAL entry body (seq
+// is the first record's sequence number).
+func AppendBatch(dst []byte, seq uint64, recs []logging.Record) []byte {
+	dst = binary.AppendUvarint(dst, seq)
+	dst = binary.AppendUvarint(dst, uint64(len(recs)))
+	for i := range recs {
+		dst = AppendRecord(dst, &recs[i])
+	}
+	return dst
+}
+
+// RecordView is one AppendRecord-encoded record decoded in place: the
+// five string fields are views into the encoded bytes, valid only as
+// long as those bytes are. It is the one decoder of the layout; each
+// caller picks how the views become strings (DecodeRecord plain-copies,
+// the serving wire interns and resolves against the lookup cache).
+type RecordView struct {
+	Time  time.Time
+	Level logging.Level
+
+	Source, Message, Framework, SessionID, TemplateID []byte
+}
+
+// DecodeRecordView decodes one AppendRecord-encoded record into v and
+// returns the bytes after it.
+func DecodeRecordView(p []byte, v *RecordView) (rest []byte, err error) {
 	if len(p) < 12 {
-		return rec, nil, Errf("record truncated")
+		return nil, Errf("record truncated")
 	}
 	nano := int64(binary.LittleEndian.Uint64(p))
 	off := int32(binary.LittleEndian.Uint32(p[8:]))
-	p = p[12:]
-	lvl, p, ok := Varint(p)
+	lvl, p, ok := Varint(p[12:])
 	if !ok {
-		return rec, nil, Errf("record: bad level")
+		return nil, Errf("record: bad level")
 	}
-	rec.Level = logging.Level(lvl)
+	v.Level = logging.Level(lvl)
+	v.Time = time.Time{}
 	if nano != ZeroTimeNano {
 		t := time.Unix(0, nano)
 		if off == 0 {
-			rec.Time = t.UTC()
+			v.Time = t.UTC()
 		} else {
-			rec.Time = t.In(time.FixedZone("", int(off)))
+			v.Time = t.In(time.FixedZone("", int(off)))
 		}
 	}
-	var b []byte
-	if b, p, ok = Bytes(p); !ok {
-		return rec, nil, Errf("record: bad source")
+	if v.Source, p, ok = Bytes(p); !ok {
+		return nil, Errf("record: bad source")
 	}
-	rec.Source = string(b)
-	if b, p, ok = Bytes(p); !ok {
-		return rec, nil, Errf("record: bad message")
+	if v.Message, p, ok = Bytes(p); !ok {
+		return nil, Errf("record: bad message")
 	}
-	rec.Message = string(b)
-	if b, p, ok = Bytes(p); !ok {
-		return rec, nil, Errf("record: bad framework")
+	if v.Framework, p, ok = Bytes(p); !ok {
+		return nil, Errf("record: bad framework")
 	}
-	rec.Framework = logging.Framework(b)
-	if b, p, ok = Bytes(p); !ok {
-		return rec, nil, Errf("record: bad session")
+	if v.SessionID, p, ok = Bytes(p); !ok {
+		return nil, Errf("record: bad session")
 	}
-	rec.SessionID = string(b)
-	if b, p, ok = Bytes(p); !ok {
-		return rec, nil, Errf("record: bad template")
+	if v.TemplateID, p, ok = Bytes(p); !ok {
+		return nil, Errf("record: bad template")
 	}
-	rec.TemplateID = string(b)
-	return rec, p, nil
+	return p, nil
+}
+
+// DecodeRecord decodes one AppendRecord-encoded record, plain-copying
+// every string (WAL replay and offline tools; the serving wire
+// materializes DecodeRecordView's views itself).
+func DecodeRecord(p []byte) (rec logging.Record, rest []byte, err error) {
+	var v RecordView
+	if rest, err = DecodeRecordView(p, &v); err != nil {
+		return rec, nil, err
+	}
+	return logging.Record{
+		Time:       v.Time,
+		Level:      v.Level,
+		Source:     string(v.Source),
+		Message:    string(v.Message),
+		Framework:  logging.Framework(v.Framework),
+		SessionID:  string(v.SessionID),
+		TemplateID: string(v.TemplateID),
+	}, rest, nil
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -230,11 +229,7 @@ func (l *Log) Append(recs []logging.Record) error {
 }
 
 func (l *Log) appendLocked(recs []logging.Record) error {
-	body := binary.AppendUvarint(l.buf[:0], l.seq+1)
-	body = binary.AppendUvarint(body, uint64(len(recs)))
-	for i := range recs {
-		body = AppendRecord(body, &recs[i])
-	}
+	body := AppendBatch(l.buf[:0], l.seq+1, recs)
 	l.buf = body[:0]
 	if len(body)+9 > MaxFrame {
 		if len(recs) == 1 {
