@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -62,24 +61,11 @@ func main() {
 		clusterThreshold = flag.Float64("cluster-threshold", 0, "anomaly cluster cosine similarity threshold (0 = default 0.60)")
 		rollupWindow     = flag.Duration("rollup-window", 0, "rollup bucket width (0 = default 1m)")
 		sloBudget        = flag.Float64("slo-budget", 0, "anomaly budget per rollup window for burn-rate alerts (0 = default 10)")
-
-		gomemlimit = flag.Int64("gomemlimit", 0, "runtime soft memory limit in bytes (debug.SetMemoryLimit; 0 leaves GOMEMLIMIT alone)")
-		gogc       = flag.Int("gogc", 0, "GC target percentage (debug.SetGCPercent; 0 leaves GOGC alone, <0 disables the collector)")
 	)
 	flag.Parse()
 	fw, err := defaultFramework(*framework)
 	if err != nil {
 		log.Fatalf("intellogd: %v", err)
-	}
-
-	// GC shaping comes first, before tenants load: with the pooled batch
-	// path keeping the steady-state heap small, a memory limit plus a
-	// higher GOGC lets deployments trade idle RAM for fewer collections.
-	if *gomemlimit > 0 {
-		debug.SetMemoryLimit(*gomemlimit)
-	}
-	if *gogc != 0 {
-		debug.SetGCPercent(*gogc)
 	}
 
 	srv, err := server.New(server.Config{

@@ -37,7 +37,7 @@ func TestAnalyticsDeterminism(t *testing.T) {
 		sp := sp
 		t.Run(sp.Name, func(t *testing.T) {
 			t.Parallel()
-			c := sp.Generate()
+			c := corpusFor(sp)
 			m := ModelFor(sp.Framework)
 
 			ref := analyticsSnapshot(t, c, BatchPath(m.Detector(), c.Records))
@@ -101,7 +101,7 @@ func TestAnalyticsGroundTruth(t *testing.T) {
 			t.Fatalf("corpus %s missing from matrix", name)
 		}
 		t.Run(name, func(t *testing.T) {
-			c := spec.Generate()
+			c := corpusFor(*spec)
 			m := ModelFor(spec.Framework)
 			rep := BatchPath(m.Detector(), c.Records)
 			e := analytics.NewEngine(analytics.Config{}, m.Graph)

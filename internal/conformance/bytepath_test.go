@@ -22,7 +22,7 @@ func TestBytePathDifferential(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			corpus := spec.Generate()
+			corpus := corpusFor(spec)
 			f := logging.FormatterFor(spec.Framework)
 
 			// Render per session, as the per-session .log files on disk

@@ -1,7 +1,6 @@
 package conformance
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,19 +26,21 @@ func loadFixture(t *testing.T, name string) []byte {
 	return data
 }
 
+// loaderCorpora are the oracle's LogHub-shaped corpora, by cell name.
+var loaderCorpora = []struct {
+	name string
+	load func(t *testing.T) corpus.Corpus
+}{
+	{"loghub-hdfs", func(t *testing.T) corpus.Corpus {
+		return corpus.LoadHDFS(loadFixture(t, "hdfs_sample.log"), loadFixture(t, "hdfs_labels.csv"))
+	}},
+	{"loghub-bgl", func(t *testing.T) corpus.Corpus {
+		return corpus.LoadBGL(loadFixture(t, "bgl_sample.log"))
+	}},
+}
+
 func TestLoaderCorporaOracle(t *testing.T) {
-	cases := []struct {
-		name string
-		load func(t *testing.T) corpus.Corpus
-	}{
-		{"loghub-hdfs", func(t *testing.T) corpus.Corpus {
-			return corpus.LoadHDFS(loadFixture(t, "hdfs_sample.log"), loadFixture(t, "hdfs_labels.csv"))
-		}},
-		{"loghub-bgl", func(t *testing.T) corpus.Corpus {
-			return corpus.LoadBGL(loadFixture(t, "bgl_sample.log"))
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range loaderCorpora {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -50,17 +51,7 @@ func TestLoaderCorporaOracle(t *testing.T) {
 			m := core.Train(c.Sessions(), core.Config{})
 			// The unsessionized remainder (namenode lines with no block ID)
 			// rides along in the stream, like daemon chatter in production.
-			paths, err := RunOracle(m, c.Records, 4242)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := paths[0]
-			for _, p := range paths[1:] {
-				if !bytes.Equal(p.Canon, ref.Canon) {
-					t.Errorf("path %s diverged from %s over %d loaded records:\n%s",
-						p.Path, ref.Path, len(c.Records), firstDiff(ref.Canon, p.Canon))
-				}
-			}
+			checkOracle(t, tc.name, m, c.Records, 4242)
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"time"
 
 	"intellog/internal/core"
 	"intellog/internal/detect"
@@ -43,12 +44,6 @@ func Canonicalize(r *detect.Report) ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// PathReport is one execution path's canonicalized outcome.
-type PathReport struct {
-	Path  string
-	Canon []byte
-}
-
 // BatchPath runs plain batch detection over the stream's session view.
 func BatchPath(d *detect.Detector, recs []logging.Record) *detect.Report {
 	return d.DetectParallel(logging.GroupSessions(recs), 0)
@@ -74,22 +69,45 @@ func StreamBatchPath(d *detect.Detector, recs []logging.Record, chunk, workers i
 		all = append(all, sd.ConsumeBatch(recs[:n], workers)...)
 		recs = recs[n:]
 	}
-	rep := sd.Flush()
-	all = append(all, rep.Anomalies...)
-	return &detect.Report{Sessions: rep.Sessions, Anomalies: all}
+	return consumeParts(sd, all)
 }
 
 // StreamPath consumes the stream record by record and combines
 // mid-stream findings with the flush report.
 func StreamPath(d *detect.Detector, recs []logging.Record) *detect.Report {
-	sd := detect.NewStream(d, detect.StreamConfig{})
-	var all []detect.Anomaly
-	for _, r := range recs {
-		all = append(all, sd.Consume(r)...)
+	return consumeParts(detect.NewStream(d, detect.StreamConfig{}), nil, recs)
+}
+
+// consumeParts feeds each part through sd in turn, record by record,
+// then flushes, and returns every finding (after the ones already in
+// all) with the flush report's session count.
+func consumeParts(sd *detect.StreamDetector, all []detect.Anomaly, parts ...[]logging.Record) *detect.Report {
+	for _, part := range parts {
+		for _, r := range part {
+			all = append(all, sd.Consume(r)...)
+		}
 	}
 	rep := sd.Flush()
-	all = append(all, rep.Anomalies...)
-	return &detect.Report{Sessions: rep.Sessions, Anomalies: all}
+	return &detect.Report{Sessions: rep.Sessions, Anomalies: append(all, rep.Anomalies...)}
+}
+
+// LaggedSplit partitions recs the way the server routes sessions across
+// n ingest workers (FNV-1a of the session ID, mod n), keeping input
+// order within each part. Draining the parts one after another through
+// one detector is the deterministic worst case of queue lag: worker 0
+// finishes before worker 1 starts.
+func LaggedSplit(recs []logging.Record, n int) [][]logging.Record {
+	parts := make([][]logging.Record, n)
+	for _, r := range recs {
+		h := uint32(2166136261)
+		for i := 0; i < len(r.SessionID); i++ {
+			h ^= uint32(r.SessionID[i])
+			h *= 16777619
+		}
+		i := int(h % uint32(n))
+		parts[i] = append(parts[i], r)
+	}
+	return parts
 }
 
 // ResumePath kills the streaming run after cut records, checkpoints it
@@ -122,13 +140,7 @@ func ResumePath(m *core.Model, recs []logging.Record, cut int) (*detect.Report, 
 	if err != nil {
 		return nil, fmt.Errorf("restore stream: %w", err)
 	}
-
-	for _, r := range recs[cursor:] {
-		all = append(all, second.Consume(r)...)
-	}
-	rep := second.Flush()
-	all = append(all, rep.Anomalies...)
-	return &detect.Report{Sessions: rep.Sessions, Anomalies: all}, nil
+	return consumeParts(second, all, recs[cursor:]), nil
 }
 
 // OracleBatchShards are the worker-shard counts the parallel batch
@@ -143,49 +155,105 @@ func OracleBatchShards() []int {
 	return shards
 }
 
-// RunOracle runs every execution path over one record stream — batch,
-// sharded-parallel batch at OracleBatchShards, streaming, chunked
-// two-stage streaming, and kill/resume at a seeded random cut — and
-// returns the per-path canonical reports. Callers assert every
-// PathReport.Canon equals the first (the batch reference).
-func RunOracle(m *core.Model, recs []logging.Record, seed int64) ([]PathReport, error) {
-	d := m.Detector()
-	var out []PathReport
-	add := func(path string, rep *detect.Report) error {
-		canon, err := Canonicalize(rep)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		out = append(out, PathReport{Path: path, Canon: canon})
-		return nil
-	}
+// OracleIdles are the idle timeouts the idle legs run: the daemon's
+// shipped -idle default, and a long one.
+var OracleIdles = []time.Duration{5 * time.Minute, 30 * time.Minute}
 
-	if err := add("batch", BatchPath(d, recs)); err != nil {
-		return nil, err
-	}
-	for _, shards := range OracleBatchShards() {
-		if err := add(fmt.Sprintf("batch-par-%d", shards), BatchParallelPath(d, recs, shards)); err != nil {
-			return nil, err
+// Leg is one row of the oracle's leg table: an execution path from a
+// record stream to a detection report.
+type Leg struct {
+	Name string
+	Run  func(m *core.Model, recs []logging.Record) (*detect.Report, error)
+}
+
+// OracleLegs is the leg table. The first leg, batch, is the reference
+// every other leg is compared with; cut is the resume leg's kill point.
+// The idle legs run the stream with the session idle timeout on, once
+// through one consumer and once as two lagged consumers (LaggedSplit).
+// Cells where goroutines race are not legs: their outcome is not a
+// function of the corpus.
+func OracleLegs(cut int) []Leg {
+	plain := func(run func(d *detect.Detector, recs []logging.Record) *detect.Report) func(*core.Model, []logging.Record) (*detect.Report, error) {
+		return func(m *core.Model, recs []logging.Record) (*detect.Report, error) {
+			return run(m.Detector(), recs), nil
 		}
 	}
-	if err := add("stream", StreamPath(d, recs)); err != nil {
-		return nil, err
+	legs := []Leg{{"batch", plain(BatchPath)}}
+	for _, shards := range OracleBatchShards() {
+		shards := shards
+		legs = append(legs, Leg{fmt.Sprintf("batch-par-%d", shards), plain(func(d *detect.Detector, recs []logging.Record) *detect.Report {
+			return BatchParallelPath(d, recs, shards)
+		})})
 	}
-	if err := add("stream-batched", StreamBatchPath(d, recs, 64, 4)); err != nil {
-		return nil, err
+	legs = append(legs,
+		Leg{"stream", plain(StreamPath)},
+		Leg{"stream-batched", plain(func(d *detect.Detector, recs []logging.Record) *detect.Report {
+			return StreamBatchPath(d, recs, 64, 4)
+		})},
+		Leg{fmt.Sprintf("resume-at-%d", cut), func(m *core.Model, recs []logging.Record) (*detect.Report, error) {
+			return ResumePath(m, recs, cut)
+		}},
+	)
+	for _, idle := range OracleIdles {
+		cfg := detect.StreamConfig{IdleTimeout: idle}
+		suffix := fmt.Sprintf("-idle%dm", idle/time.Minute)
+		legs = append(legs,
+			Leg{"stream" + suffix, plain(func(d *detect.Detector, recs []logging.Record) *detect.Report {
+				return consumeParts(detect.NewStream(d, cfg), nil, recs)
+			})},
+			Leg{"lagged2" + suffix, plain(func(d *detect.Detector, recs []logging.Record) *detect.Report {
+				return consumeParts(detect.NewStream(d, cfg), nil, LaggedSplit(recs, 2)...)
+			})},
+		)
 	}
+	return legs
+}
+
+// PathReport is one leg's outcome over one record stream.
+type PathReport struct {
+	Path                string
+	Anomalies, Sessions int
+	// Canon is the canonical report. It is nil when the counts already
+	// differ from the reference's: a divergent cell is checked on counts
+	// only, and canonicalizing its (up to hundreds of thousands of)
+	// findings buys nothing.
+	Canon []byte
+}
+
+// Diverges reports whether p differs from the reference report ref.
+func (p PathReport) Diverges(ref PathReport) bool {
+	return p.Canon == nil || !bytes.Equal(p.Canon, ref.Canon)
+}
+
+// Cell names p as a cell of the known-divergent ratchet.
+func (p PathReport) Cell(corpus string) Cell {
+	return Cell{Corpus: corpus, Leg: p.Path, Anomalies: p.Anomalies, Sessions: p.Sessions}
+}
+
+// RunOracle runs every leg of OracleLegs over one record stream, with
+// the resume leg cut at a seeded random point, and returns the per-leg
+// reports in table order. Callers judge every report against the first
+// (the batch reference) through the known-divergent ratchet.
+func RunOracle(m *core.Model, recs []logging.Record, seed int64) ([]PathReport, error) {
 	// Randomized (but seeded) cut point: somewhere strictly inside the
 	// stream, so both halves do real work.
 	cut := 1
 	if len(recs) > 2 {
 		cut = 1 + rand.New(rand.NewSource(seed)).Intn(len(recs)-1)
 	}
-	rep, err := ResumePath(m, recs, cut)
-	if err != nil {
-		return nil, fmt.Errorf("resume at %d: %w", cut, err)
-	}
-	if err := add(fmt.Sprintf("resume-at-%d", cut), rep); err != nil {
-		return nil, err
+	var out []PathReport
+	for _, leg := range OracleLegs(cut) {
+		rep, err := leg.Run(m, recs)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", leg.Name, err)
+		}
+		p := PathReport{Path: leg.Name, Anomalies: len(rep.Anomalies), Sessions: rep.Sessions}
+		if len(out) == 0 || (p.Anomalies == out[0].Anomalies && p.Sessions == out[0].Sessions) {
+			if p.Canon, err = Canonicalize(rep); err != nil {
+				return nil, fmt.Errorf("%s: %w", leg.Name, err)
+			}
+		}
+		out = append(out, p)
 	}
 	return out, nil
 }

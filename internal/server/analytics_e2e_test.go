@@ -1,8 +1,6 @@
 package server_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -16,20 +14,7 @@ import (
 // /metrics gauges.
 func TestServeAnalyticsEndpoints(t *testing.T) {
 	spec := conformance.DefaultMatrix()[1] // spark-faulted
-	corpus := spec.Generate()
-
-	modelDir := t.TempDir()
-	writeModel(t, modelDir, "acme", spec.Framework)
-	srv, hs := bootServer(t, server.Config{ModelDir: modelDir, DefaultFramework: spec.Framework})
-	defer srv.Close()
-
-	c := &server.Client{Base: hs.URL, Tenant: "acme"}
-	if _, err := c.Replay(corpus.Records, server.ReplayOptions{Batch: 64, Concurrency: 1}); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if _, err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	_, c := runServeLeg(t, serveLeg{wire: ndjson, conns: 1, batch: 64, workers: 1}, spec, server.CorpusFor(spec))
 
 	full, err := c.Clusters(0, 0)
 	if err != nil {
@@ -146,85 +131,5 @@ func TestServeAnalyticsEndpoints(t *testing.T) {
 		if !strings.Contains(metrics, name) {
 			t.Errorf("/metrics lacks %s", name)
 		}
-	}
-}
-
-// TestServeAnalyticsKillRestartIdentity is the analytics crash drill:
-// clusters, explanations and rollups served after a checkpoint, kill
-// and restore must be byte-identical to a server that lived through the
-// whole stream in one life — the engine's state is a pure function of
-// the anomaly multiset, and the checkpoint carries it exactly.
-func TestServeAnalyticsKillRestartIdentity(t *testing.T) {
-	spec := conformance.DefaultMatrix()[1] // spark-faulted
-	corpus := spec.Generate()
-
-	fetch := func(c *server.Client) (clusters, rollups []byte) {
-		t.Helper()
-		cl, err := c.Clusters(0, 0)
-		if err != nil {
-			t.Fatalf("clusters: %v", err)
-		}
-		ro, err := c.Rollups(0, 0)
-		if err != nil {
-			t.Fatalf("rollups: %v", err)
-		}
-		cb, err := json.MarshalIndent(cl, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := json.MarshalIndent(ro, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cb, rb
-	}
-
-	// Reference: one life, whole stream.
-	refModels := t.TempDir()
-	writeModel(t, refModels, "acme", spec.Framework)
-	refSrv, refHS := bootServer(t, server.Config{ModelDir: refModels, DefaultFramework: spec.Framework})
-	defer refSrv.Close()
-	refC := &server.Client{Base: refHS.URL, Tenant: "acme"}
-	if _, err := refC.Replay(corpus.Records, server.ReplayOptions{Batch: 64, Concurrency: 1}); err != nil {
-		t.Fatalf("reference replay: %v", err)
-	}
-	if _, err := refC.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wantClusters, wantRollups := fetch(refC)
-
-	// Crash drill: half the stream, checkpoint, kill, restore, rest.
-	modelDir, stateDir := t.TempDir(), t.TempDir()
-	writeModel(t, modelDir, "acme", spec.Framework)
-	cfg := server.Config{ModelDir: modelDir, StateDir: stateDir, DefaultFramework: spec.Framework}
-	cut := len(corpus.Records) / 2
-
-	srv1, hs1 := bootServer(t, cfg)
-	c1 := &server.Client{Base: hs1.URL, Tenant: "acme"}
-	if _, err := c1.Replay(corpus.Records[:cut], server.ReplayOptions{Batch: 64, Concurrency: 1}); err != nil {
-		t.Fatalf("first-life replay: %v", err)
-	}
-	if err := c1.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	hs1.Close()
-	srv1.Kill()
-
-	srv2, hs2 := bootServer(t, cfg)
-	defer srv2.Close()
-	c2 := &server.Client{Base: hs2.URL, Tenant: "acme"}
-	if _, err := c2.Replay(corpus.Records[cut:], server.ReplayOptions{Batch: 64, Concurrency: 1}); err != nil {
-		t.Fatalf("second-life replay: %v", err)
-	}
-	if _, err := c2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	gotClusters, gotRollups := fetch(c2)
-
-	if !bytes.Equal(gotClusters, wantClusters) {
-		t.Errorf("kill/restart clusters diverge from single-life server\nwant:\n%s\ngot:\n%s", wantClusters, gotClusters)
-	}
-	if !bytes.Equal(gotRollups, wantRollups) {
-		t.Errorf("kill/restart rollups diverge from single-life server\nwant:\n%s\ngot:\n%s", wantRollups, gotRollups)
 	}
 }

@@ -26,7 +26,7 @@ func TestPooledDecodeDifferential(t *testing.T) {
 	for _, spec := range conformance.DefaultMatrix() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			recs := spec.Generate().Records
+			recs := CorpusFor(spec)
 
 			// NDJSON wire: the replay client's encoder, then the ingest
 			// fast path (with strict encoding/json fallback) both ways.

@@ -33,8 +33,8 @@ func TestDLQRequeueIdempotent(t *testing.T) {
 		ModelDir: modelDir, StateDir: stateDir,
 		DefaultFramework: logging.Spark, MaxRecordBytes: 256,
 	}
-	srv1, hs1 := bootServer(t, cfg)
-	c1 := &server.Client{Base: hs1.URL, Tenant: "acme"}
+	l1 := boot(t, cfg)
+	c1 := l1.c
 	if _, err := c1.IngestRecords([]logging.Record{big(0), big(1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +46,12 @@ func TestDLQRequeueIdempotent(t *testing.T) {
 		t.Fatalf("DLQ depth %d, want 2", dlq.Depth)
 	}
 	seqs := []uint64{dlq.Entries[0].Seq, dlq.Entries[1].Seq}
-	hs1.Close()
-	srv1.Kill()
+	l1.kill()
 
 	// Raise the cap: the dead letters become requeueable.
 	cfg.MaxRecordBytes = 0
-	srv2, hs2 := bootServer(t, cfg)
-	c2 := &server.Client{Base: hs2.URL, Tenant: "acme"}
+	l2 := boot(t, cfg)
+	c2 := l2.c
 	rq, err := c2.DLQRequeue(seqs)
 	if err != nil {
 		t.Fatal(err)
@@ -80,14 +79,12 @@ func TestDLQRequeueIdempotent(t *testing.T) {
 	if rep.Sessions != 1 {
 		t.Fatalf("sessions = %d, want 1: repeat requeues must not re-deliver records", rep.Sessions)
 	}
-	hs2.Close()
-	srv2.Kill()
+	l2.kill()
 
 	// Tombstones persisted: a successor over the same state dir boots
 	// with an empty queue, and requeue is still a no-op.
-	srv3, hs3 := bootServer(t, cfg)
-	defer srv3.Close()
-	c3 := &server.Client{Base: hs3.URL, Tenant: "acme"}
+	l3 := boot(t, cfg)
+	c3 := l3.c
 	dlq, err = c3.DLQ(0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -107,9 +104,8 @@ func TestDLQRequeueIdempotent(t *testing.T) {
 func TestDLQPaginationPageBoundary(t *testing.T) {
 	modelDir := t.TempDir()
 	writeModel(t, modelDir, "acme", logging.Spark)
-	srv, hs := bootServer(t, server.Config{ModelDir: modelDir, DefaultFramework: logging.Spark})
-	defer srv.Close()
-	c := &server.Client{Base: hs.URL, Tenant: "acme"}
+	l := boot(t, server.Config{ModelDir: modelDir, DefaultFramework: logging.Spark})
+	c := l.c
 
 	// Six invalid lines → six dead letters.
 	const n = 6
@@ -117,7 +113,7 @@ func TestDLQPaginationPageBoundary(t *testing.T) {
 	for i := 0; i < n; i++ {
 		lines = append(lines, fmt.Sprintf(`{"message":"bad %d","sessionId":`, i))
 	}
-	code, res := postNDJSON(t, hs.URL, "acme", strings.Join(lines, "\n"))
+	code, res := postNDJSON(t, l.hs.URL, "acme", strings.Join(lines, "\n"))
 	if code != http.StatusAccepted || res.DeadLettered != n {
 		t.Fatalf("status %d, dead-lettered %d, want 202 with %d", code, res.DeadLettered, n)
 	}
@@ -171,9 +167,8 @@ func TestDLQPaginationPageBoundary(t *testing.T) {
 func TestDLQRecordsCounterFromLoad(t *testing.T) {
 	modelDir := t.TempDir()
 	writeModel(t, modelDir, "acme", logging.Spark)
-	srv, hs := bootServer(t, server.Config{ModelDir: modelDir, DefaultFramework: logging.Spark})
-	defer srv.Close()
-	c := &server.Client{Base: hs.URL, Tenant: "acme"}
+	l := boot(t, server.Config{ModelDir: modelDir, DefaultFramework: logging.Spark})
+	c := l.c
 	const series = `intellogd_dlq_records_total{tenant="acme"} `
 
 	if _, err := c.DLQ(0, 0); err != nil { // loads the tenant
@@ -182,7 +177,7 @@ func TestDLQRecordsCounterFromLoad(t *testing.T) {
 	if m, err := c.Metrics(); err != nil || !strings.Contains(m, series+"0\n") {
 		t.Fatalf("fresh tenant's /metrics lacks %q0 (err %v)", series, err)
 	}
-	if code, res := postNDJSON(t, hs.URL, "acme", `{"message":"bad","sessionId":`); code != http.StatusAccepted || res.DeadLettered != 1 {
+	if code, res := postNDJSON(t, l.hs.URL, "acme", `{"message":"bad","sessionId":`); code != http.StatusAccepted || res.DeadLettered != 1 {
 		t.Fatalf("status %d, dead-lettered %d, want 202 with 1", code, res.DeadLettered)
 	}
 	if m, err := c.Metrics(); err != nil || !strings.Contains(m, series+"1\n") {

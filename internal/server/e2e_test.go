@@ -2,10 +2,15 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
 	"intellog/internal/conformance"
 	"intellog/internal/detect"
@@ -13,338 +18,394 @@ import (
 	"intellog/internal/server"
 )
 
-// writeModel trains (via the shared conformance cache) and saves the
-// framework's reference model under dir as tenant `name`.
-func writeModel(t *testing.T, dir, name string, fw logging.Framework) {
-	t.Helper()
-	f, err := os.Create(filepath.Join(dir, name+".json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := conformance.ModelFor(fw).Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+// The serving oracle: one table of legs, one runner. Each leg boots a
+// daemon, replays a corpus over one wire with N connections, optionally
+// cuts the run (checkpoint + kill, or a WAL-only window + kill),
+// restarts over the same state, flushes, and compares what the daemon
+// served with a reference. Every cell (corpus × leg) must match its
+// reference, unless the known-divergent ratchet lists it with exactly
+// the counts it reports. Each test below runs the rows named after it.
+
+type wire string
+
+const (
+	ndjson wire = "ndjson"
+	ils1   wire = "ils1"
+)
+
+type cut string
+
+const (
+	noCut cut = ""
+	// ckptKill replays the first half, checkpoints, and kills.
+	ckptKill cut = "ckpt"
+	// walKill replays a third, checkpoints, replays another third that
+	// reaches only the WAL, and kills: boot replay must re-feed exactly
+	// that window.
+	walKill cut = "wal"
+)
+
+type reference int
+
+const (
+	// refBatch is batch detection over the corpus, read through one JSON
+	// round trip as a report-API client sees it: the report endpoint
+	// rewrites invalid UTF-8 (the line-fault corpora carry some) into
+	// U+FFFD, and the round trip applies the same rewrite to the
+	// reference. For valid UTF-8 it is the identity.
+	refBatch reference = iota
+	// refSerial is the serial NDJSON daemon (serialLeg) over the same
+	// corpus. NDJSON ingest itself rewrites invalid UTF-8, so for the
+	// line-fault corpora batch detection is not the NDJSON reference.
+	refSerial
+	// refSingleLife compares analytics (clusters and rollups) with the
+	// same leg run in one life, without the cut: the engine's state must
+	// be a pure function of the anomaly multiset.
+	refSingleLife
+)
+
+type serveLeg struct {
+	test    string // the test that runs this row
+	wire    wire
+	conns   int
+	batch   int
+	workers int
+	cut     cut
+	idle    time.Duration
+	corpora []string // nil: the whole matrix
+	ref     reference
 }
 
-// bootServer builds a Server over the dirs and exposes it via httptest.
-func bootServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
-	t.Helper()
-	s, err := server.New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// name is the leg's ratchet name.
+func (l serveLeg) name() string {
+	n := fmt.Sprintf("served-%s-c%d-w%d", l.wire, l.conns, l.workers)
+	if l.cut != noCut {
+		n += "-" + string(l.cut)
 	}
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
-	return s, hs
+	if l.idle > 0 {
+		n += fmt.Sprintf("-idle%dm", l.idle/time.Minute)
+	}
+	return n
 }
 
-// TestServeConformance is the end-to-end differential check: a corpus
-// ingested through the full HTTP path (NDJSON encode → wire → decode →
-// queue → worker → streaming detector) must canonicalize byte-identical
-// to plain batch detection over the same records. Runs a clean and a
-// faulted corpus.
-func TestServeConformance(t *testing.T) {
-	matrix := conformance.DefaultMatrix()
-	for _, spec := range []conformance.Spec{matrix[0], matrix[1]} {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			corpus := spec.Generate()
-			m := conformance.ModelFor(spec.Framework)
+var sparkFaulted = []string{"spark-faulted"}
 
-			wantRep := conformance.BatchPath(m.Detector(), corpus.Records)
-			want, err := conformance.Canonicalize(wantRep)
-			if err != nil {
-				t.Fatal(err)
+// serialLeg is refSerial's daemon.
+var serialLeg = serveLeg{wire: ndjson, conns: 3, batch: 48, workers: 1}
+
+var serveLegs = []serveLeg{
+	// NDJSON over one connection, a clean and a faulted corpus.
+	{test: "TestServeConformance", wire: ndjson, conns: 1, batch: 64, workers: 1,
+		corpora: []string{"spark-clean", "spark-faulted"}},
+	// The replay client shards by session, so concurrent senders keep
+	// per-session order.
+	{test: "TestServeConcurrentIngestConformance", wire: ndjson, conns: 4, batch: 32, workers: 1,
+		corpora: sparkFaulted},
+	// Session-sharded ingest workers against the serial daemon.
+	{test: "TestServeShardedIngestConformance", wire: ndjson, conns: 3, batch: 48, workers: 4,
+		ref: refSerial},
+	// The checkpoint barrier cuts the accepted stream exactly with four
+	// workers in flight.
+	{test: "TestServeShardedKillRestartConformance", wire: ndjson, conns: 3, batch: 48, workers: 4, cut: ckptKill,
+		corpora: sparkFaulted},
+	{test: "TestServeKillRestartConformance", wire: ndjson, conns: 1, batch: 64, workers: 1, cut: ckptKill,
+		corpora: sparkFaulted},
+	// The crash window the WAL exists for: acked, never checkpointed.
+	{test: "TestServeWALKillRestartConformance", wire: ndjson, conns: 1, batch: 64, workers: 1, cut: walKill,
+		ref: refSerial},
+	// ILS1 carries record bytes verbatim, so even the line-fault corpora
+	// compare with batch detection.
+	{test: "TestStreamServeConformance", wire: ils1, conns: 3, batch: 48, workers: 4},
+	// The kill severs the live stream connections.
+	{test: "TestStreamKillRestartConformance", wire: ils1, conns: 1, batch: 64, workers: 1, cut: ckptKill,
+		corpora: sparkFaulted},
+	{test: "TestServeAnalyticsKillRestartIdentity", wire: ndjson, conns: 1, batch: 64, workers: 1, cut: ckptKill,
+		corpora: sparkFaulted, ref: refSingleLife},
+	// The configuration the daemon ships: -idle 5m, WAL on, a crash
+	// inside the un-checkpointed window.
+	{test: "TestServeShippedConfig", wire: ils1, conns: 1, batch: 64, workers: 1, cut: walKill,
+		idle: 5 * time.Minute},
+}
+
+// Each kept test runs its rows of serveLegs.
+
+func TestServeConformance(t *testing.T)                   { runServeLegs(t) }
+func TestServeConcurrentIngestConformance(t *testing.T)   { runServeLegs(t) }
+func TestServeShardedIngestConformance(t *testing.T)      { runServeLegs(t) }
+func TestServeShardedKillRestartConformance(t *testing.T) { runServeLegs(t) }
+func TestServeKillRestartConformance(t *testing.T)        { runServeLegs(t) }
+func TestServeWALKillRestartConformance(t *testing.T)     { runServeLegs(t) }
+func TestStreamServeConformance(t *testing.T)             { runServeLegs(t) }
+func TestStreamKillRestartConformance(t *testing.T)       { runServeLegs(t) }
+func TestServeAnalyticsKillRestartIdentity(t *testing.T)  { runServeLegs(t) }
+func TestServeShippedConfig(t *testing.T)                 { runServeLegs(t) }
+
+// runServeLegs runs the rows named after the calling test, one parallel
+// subtest per corpus.
+func runServeLegs(t *testing.T) {
+	ran := false
+	for _, leg := range serveLegs {
+		if leg.test != t.Name() {
+			continue
+		}
+		ran = true
+		for _, spec := range conformance.DefaultMatrix() {
+			if leg.corpora != nil && !slices.Contains(leg.corpora, spec.Name) {
+				continue
 			}
-
-			modelDir := t.TempDir()
-			writeModel(t, modelDir, "acme", spec.Framework)
-			srv, hs := bootServer(t, server.Config{
-				ModelDir:         modelDir,
-				DefaultFramework: spec.Framework,
+			t.Run(spec.Name, func(t *testing.T) {
+				t.Parallel()
+				checkServeLeg(t, leg, spec)
 			})
-			defer srv.Close()
-
-			c := &server.Client{Base: hs.URL, Tenant: "acme"}
-			res, err := c.Replay(corpus.Records, server.ReplayOptions{Batch: 64, Concurrency: 1})
-			if err != nil {
-				t.Fatalf("replay: %v", err)
-			}
-			if res.Records != len(corpus.Records) {
-				t.Fatalf("replay accepted %d records, corpus has %d", res.Records, len(corpus.Records))
-			}
-			if _, err := c.Flush(); err != nil {
-				t.Fatalf("flush: %v", err)
-			}
-			rep, err := c.Report()
-			if err != nil {
-				t.Fatalf("report: %v", err)
-			}
-			got, err := conformance.Canonicalize(&rep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("served report diverges from batch detection\nbatch:\n%s\nserved:\n%s", want, got)
-			}
-		})
+		}
+	}
+	if !ran {
+		t.Fatalf("no serving leg names %s", t.Name())
 	}
 }
 
-// TestServeConcurrentIngestConformance proves per-session ordering (and
-// therefore the conformance guarantee) survives concurrent senders: the
-// replay client shards by session, so C=4 must still match batch.
-func TestServeConcurrentIngestConformance(t *testing.T) {
-	spec := conformance.DefaultMatrix()[1] // spark-faulted
-	corpus := spec.Generate()
-	m := conformance.ModelFor(spec.Framework)
-	want, err := conformance.Canonicalize(conformance.BatchPath(m.Detector(), corpus.Records))
-	if err != nil {
-		t.Fatal(err)
+// checkServeLeg runs one cell and judges it against its reference
+// through the known-divergent ratchet. A cell whose counts already
+// differ from the reference's is judged on counts only.
+func checkServeLeg(t *testing.T, leg serveLeg, spec conformance.Spec) {
+	recs := server.CorpusFor(spec)
+	if leg.ref == refSingleLife {
+		_, c := runServeLeg(t, leg, spec, recs)
+		one := leg
+		one.cut = noCut
+		_, ref := runServeLeg(t, one, spec, recs)
+		if want, got := analyticsView(t, ref), analyticsView(t, c); !bytes.Equal(got, want) {
+			t.Errorf("clusters and rollups diverge from a single life\nwant:\n%s\ngot:\n%s", want, got)
+		}
+		return
 	}
 
-	modelDir := t.TempDir()
-	writeModel(t, modelDir, "acme", spec.Framework)
-	srv, hs := bootServer(t, server.Config{ModelDir: modelDir, DefaultFramework: spec.Framework})
-	defer srv.Close()
-
-	c := &server.Client{Base: hs.URL, Tenant: "acme"}
-	if _, err := c.Replay(corpus.Records, server.ReplayOptions{Batch: 32, Concurrency: 4}); err != nil {
-		t.Fatalf("replay: %v", err)
+	want := referenceFor(t, leg.ref, spec)
+	rep, _ := runServeLeg(t, leg, spec, recs)
+	cell := conformance.Cell{Corpus: spec.Name, Leg: leg.name(), Anomalies: len(rep.Anomalies), Sessions: rep.Sessions}
+	var got []byte
+	if cell.Anomalies == want.Anomalies && cell.Sessions == want.Sessions {
+		got = canonicalize(t, rep)
 	}
-	if _, err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := conformance.Canonicalize(&rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("concurrent-ingest report diverges from batch detection\nbatch:\n%s\nserved:\n%s", want, got)
+	diverged := !bytes.Equal(got, want.Canon)
+	if msg := conformance.KnownDivergent().Verdict(cell, diverged); msg != "" {
+		if diverged && got != nil {
+			msg += fmt.Sprintf("\nreference:\n%s\nserved:\n%s", want.Canon, got)
+		}
+		t.Fatal(msg)
 	}
 }
 
-// serveCorpus replays a corpus through a fresh server at the given
-// worker-pool size, flushes, and returns the canonicalized report.
-func serveCorpus(t *testing.T, spec conformance.Spec, corpus *conformance.Corpus, workers int) []byte {
+// runServeLeg replays recs through a fresh daemon as leg describes and
+// returns the served report with a client of the daemon's last life,
+// which stays up until the test ends. After a cut, the report is the
+// findings read from the first life before its un-checkpointed window
+// plus the second life's report, as a polling client would combine them.
+func runServeLeg(t *testing.T, leg serveLeg, spec conformance.Spec, recs []logging.Record) (*detect.Report, *server.Client) {
 	t.Helper()
 	modelDir := t.TempDir()
 	writeModel(t, modelDir, "acme", spec.Framework)
-	srv, hs := bootServer(t, server.Config{
+	cfg := server.Config{
 		ModelDir:         modelDir,
 		DefaultFramework: spec.Framework,
-		IngestWorkers:    workers,
-	})
-	defer srv.Close()
+		IngestWorkers:    leg.workers,
+		Stream:           detect.StreamConfig{IdleTimeout: leg.idle},
+	}
+	if leg.cut != noCut {
+		cfg.StateDir = t.TempDir()
+	}
 
-	c := &server.Client{Base: hs.URL, Tenant: "acme"}
-	res, err := c.Replay(corpus.Records, server.ReplayOptions{Batch: 48, Concurrency: 3})
+	l := boot(t, cfg)
+	var preKill []server.SeqAnomaly
+	if leg.cut != noCut {
+		cut1, cut2 := len(recs)/2, len(recs)/2
+		if leg.cut == walKill {
+			cut1, cut2 = len(recs)/3, 2*len(recs)/3
+		}
+		l.replay(t, leg, recs[:cut1])
+		if err := l.c.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		// Read the served findings before the WAL window: its records
+		// replay in the second life and re-emit their findings there.
+		var err error
+		if preKill, err = l.c.AllAnomalies(); err != nil {
+			t.Fatalf("pre-kill anomalies: %v", err)
+		}
+		l.replay(t, leg, recs[cut1:cut2])
+		l.kill()
+
+		l = boot(t, cfg)
+		if leg.cut == walKill {
+			if got := server.ScrapeValue(t, l.hs.URL, `intellogd_wal_replayed_records{tenant="acme"}`); got != float64(cut2-cut1) {
+				t.Fatalf("wal_replayed_records = %v, want the %d-record crash window", got, cut2-cut1)
+			}
+		}
+		recs = recs[cut2:]
+	}
+	l.replay(t, leg, recs)
+	if _, err := l.c.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	rep, err := l.c.Report()
 	if err != nil {
-		t.Fatalf("replay (workers=%d): %v", workers, err)
+		t.Fatalf("report: %v", err)
 	}
-	if res.Records != len(corpus.Records) {
-		t.Fatalf("replay accepted %d records, corpus has %d", res.Records, len(corpus.Records))
+	if leg.cut == noCut {
+		return &rep, l.c
 	}
-	if _, err := c.Flush(); err != nil {
-		t.Fatalf("flush (workers=%d): %v", workers, err)
-	}
-	rep, err := c.Report()
+
+	// Seqs increase within the first life, and the restored detector
+	// stamps past the persisted cursor, so pages of the two lives never
+	// overlap.
+	first, err := l.c.Anomalies(0, 1)
 	if err != nil {
-		t.Fatalf("report (workers=%d): %v", workers, err)
+		t.Fatal(err)
 	}
-	canon, err := conformance.Canonicalize(&rep)
+	var last uint64
+	for i, a := range append(preKill, first.Anomalies...) {
+		if i > 0 && a.Seq <= last {
+			t.Fatalf("anomaly seq %d does not advance past %d (%d findings before the kill)", a.Seq, last, len(preKill))
+		}
+		last = a.Seq
+	}
+	combined := &detect.Report{Sessions: rep.Sessions}
+	for _, a := range preKill {
+		combined.Anomalies = append(combined.Anomalies, a.Anomaly)
+	}
+	combined.Anomalies = append(combined.Anomalies, rep.Anomalies...)
+	return combined, l.c
+}
+
+// life is one daemon process: the server, its HTTP front and a client.
+type life struct {
+	srv  *server.Server
+	hs   *httptest.Server
+	c    *server.Client
+	addr string // the ILS1 listener, started on first use
+}
+
+// boot starts a daemon over cfg; it is closed when the test ends.
+func boot(t *testing.T, cfg server.Config) *life {
+	t.Helper()
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+	})
+	return &life{srv: srv, hs: hs, c: &server.Client{Base: hs.URL, Tenant: "acme"}}
+}
+
+// replay sends recs over leg's wire and requires every record acked.
+func (l *life) replay(t *testing.T, leg serveLeg, recs []logging.Record) {
+	t.Helper()
+	if len(recs) == 0 {
+		return
+	}
+	var res server.ReplayResult
+	var err error
+	if leg.wire == ils1 {
+		if l.addr == "" {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ln.Close() })
+			go l.srv.ServeStream(ln)
+			l.addr = ln.Addr().String()
+		}
+		res, err = l.c.ReplayStream(l.addr, recs, server.StreamReplayOptions{
+			Batch: leg.batch, Concurrency: leg.conns, Window: 4,
+		})
+	} else {
+		res, err = l.c.Replay(recs, server.ReplayOptions{Batch: leg.batch, Concurrency: leg.conns})
+	}
+	if err != nil {
+		t.Fatalf("%s replay: %v", leg.wire, err)
+	}
+	if res.Records != len(recs) {
+		t.Fatalf("%s replay acked %d records, sent %d", leg.wire, res.Records, len(recs))
+	}
+}
+
+// kill crashes the daemon: no drain, no final checkpoint, and the live
+// stream connections are severed.
+func (l *life) kill() {
+	l.hs.Close()
+	l.srv.Kill()
+}
+
+// analyticsView renders the daemon's clusters and rollups.
+func analyticsView(t *testing.T, c *server.Client) []byte {
+	t.Helper()
+	cl, err := c.Clusters(0, 0)
+	if err != nil {
+		t.Fatalf("clusters: %v", err)
+	}
+	ro, err := c.Rollups(0, 0)
+	if err != nil {
+		t.Fatalf("rollups: %v", err)
+	}
+	out, err := json.MarshalIndent([]any{cl, ro}, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// referenceFor returns the reference report of one corpus in canonical
+// form, with its counts.
+func referenceFor(t *testing.T, ref reference, spec conformance.Spec) conformance.PathReport {
+	t.Helper()
+	if ref == refSerial {
+		return server.Memoize("serial/"+spec.Name, func() conformance.PathReport {
+			rep, _ := runServeLeg(t, serialLeg, spec, server.CorpusFor(spec))
+			return pathReport(t, rep)
+		})
+	}
+	return server.Memoize("batch/"+spec.Name, func() conformance.PathReport {
+		m := conformance.ModelFor(spec.Framework)
+		raw, err := json.Marshal(conformance.BatchPath(m.Detector(), server.CorpusFor(spec)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep detect.Report
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatal(err)
+		}
+		return pathReport(t, &rep)
+	})
+}
+
+func pathReport(t *testing.T, rep *detect.Report) conformance.PathReport {
+	return conformance.PathReport{Anomalies: len(rep.Anomalies), Sessions: rep.Sessions, Canon: canonicalize(t, rep)}
+}
+
+func canonicalize(t *testing.T, rep *detect.Report) []byte {
+	t.Helper()
+	canon, err := conformance.Canonicalize(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return canon
 }
 
-// TestServeShardedIngestConformance proves the session-sharded worker
-// pool preserves detection semantics end to end: every corpus of the
-// matrix, ingested with IngestWorkers=4 and concurrent senders, must
-// canonicalize byte-identical to the serial single-worker server over
-// the same wire path. (The reference is the serial *server*, not local
-// batch detection: the line-fault corpora carry invalid UTF-8 that JSON
-// transport legitimately rewrites on both sides alike.) Per-session
-// ordering holds because a session always routes to the same worker;
-// cross-session interleaving is erased by canonicalization.
-func TestServeShardedIngestConformance(t *testing.T) {
-	for _, spec := range conformance.DefaultMatrix() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			t.Parallel()
-			corpus := spec.Generate()
-			want := serveCorpus(t, spec, corpus, 1)
-			got := serveCorpus(t, spec, corpus, 4)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("sharded-ingest report diverges from serial server\nserial:\n%s\nsharded:\n%s", want, got)
-			}
-		})
-	}
-}
-
-// TestServeShardedKillRestartConformance reruns the crash drill with the
-// worker pool engaged on both lives: the checkpoint barrier must cut the
-// accepted stream exactly even with four workers in flight, and the
-// combined two-life findings must still match batch detection.
-func TestServeShardedKillRestartConformance(t *testing.T) {
-	spec := conformance.DefaultMatrix()[1] // spark-faulted
-	corpus := spec.Generate()
-	m := conformance.ModelFor(spec.Framework)
-	want, err := conformance.Canonicalize(conformance.BatchPath(m.Detector(), corpus.Records))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	modelDir, stateDir := t.TempDir(), t.TempDir()
-	writeModel(t, modelDir, "acme", spec.Framework)
-	cfg := server.Config{
-		ModelDir: modelDir, StateDir: stateDir,
-		DefaultFramework: spec.Framework,
-		IngestWorkers:    4,
-	}
-	cut := len(corpus.Records) / 2
-
-	srv1, hs1 := bootServer(t, cfg)
-	c1 := &server.Client{Base: hs1.URL, Tenant: "acme"}
-	if _, err := c1.Replay(corpus.Records[:cut], server.ReplayOptions{Batch: 48, Concurrency: 3}); err != nil {
-		t.Fatalf("first-life replay: %v", err)
-	}
-	if err := c1.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	preKill, err := c1.AllAnomalies()
-	if err != nil {
-		t.Fatalf("pre-kill anomalies: %v", err)
-	}
-	var maxSeq uint64
-	for _, a := range preKill {
-		if a.Seq <= maxSeq && maxSeq != 0 {
-			t.Fatalf("pre-kill anomaly seqs not increasing: %d after %d", a.Seq, maxSeq)
+// writeModel trains (via the shared conformance cache) and saves the
+// framework's reference model under dir as tenant `name`.
+func writeModel(t *testing.T, dir, name string, fw logging.Framework) {
+	t.Helper()
+	raw := server.Memoize("model/"+string(fw), func() []byte {
+		var buf bytes.Buffer
+		if err := conformance.ModelFor(fw).Save(&buf); err != nil {
+			t.Fatal(err)
 		}
-		maxSeq = a.Seq
-	}
-	hs1.Close()
-	srv1.Kill()
-
-	srv2, hs2 := bootServer(t, cfg)
-	defer srv2.Close()
-	c2 := &server.Client{Base: hs2.URL, Tenant: "acme"}
-	if _, err := c2.Replay(corpus.Records[cut:], server.ReplayOptions{Batch: 48, Concurrency: 3}); err != nil {
-		t.Fatalf("second-life replay: %v", err)
-	}
-	if _, err := c2.Flush(); err != nil {
+		return buf.Bytes()
+	})
+	if err := os.WriteFile(filepath.Join(dir, name+".json"), raw, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	rep, err := c2.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined := detect.Report{Sessions: rep.Sessions}
-	for _, a := range preKill {
-		combined.Anomalies = append(combined.Anomalies, a.Anomaly)
-	}
-	combined.Anomalies = append(combined.Anomalies, rep.Anomalies...)
-	got, err := conformance.Canonicalize(&combined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("sharded kill/restart report diverges from batch detection\nbatch:\n%s\nserved:\n%s", want, got)
-	}
-}
-
-// TestServeKillRestartConformance is the crash drill over HTTP: ingest
-// half the corpus, checkpoint, kill the server without a graceful drain,
-// boot a successor over the same state dir, ingest the rest, and require
-// the combined pre-kill + post-restart findings to canonicalize
-// byte-identical to batch detection. The anomaly cursor must also carry
-// across the restart (persisted AnomalySeq), so pre- and post-kill pages
-// never overlap.
-func TestServeKillRestartConformance(t *testing.T) {
-	spec := conformance.DefaultMatrix()[1] // spark-faulted
-	corpus := spec.Generate()
-	m := conformance.ModelFor(spec.Framework)
-	want, err := conformance.Canonicalize(conformance.BatchPath(m.Detector(), corpus.Records))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	modelDir, stateDir := t.TempDir(), t.TempDir()
-	writeModel(t, modelDir, "acme", spec.Framework)
-	cfg := server.Config{ModelDir: modelDir, StateDir: stateDir, DefaultFramework: spec.Framework}
-
-	cut := len(corpus.Records) / 2
-
-	// First life: half the stream, explicit checkpoint, then a crash.
-	srv1, hs1 := bootServer(t, cfg)
-	c1 := &server.Client{Base: hs1.URL, Tenant: "acme"}
-	if _, err := c1.Replay(corpus.Records[:cut], server.ReplayOptions{Batch: 64, Concurrency: 1}); err != nil {
-		t.Fatalf("first-life replay: %v", err)
-	}
-	if err := c1.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	preKill, err := c1.AllAnomalies()
-	if err != nil {
-		t.Fatalf("pre-kill anomalies: %v", err)
-	}
-	var maxSeq uint64
-	for _, a := range preKill {
-		if a.Seq <= maxSeq && maxSeq != 0 {
-			t.Fatalf("pre-kill anomaly seqs not increasing: %d after %d", a.Seq, maxSeq)
-		}
-		maxSeq = a.Seq
-	}
-	hs1.Close()
-	srv1.Kill() // no final checkpoint: the explicit one is all that survives
-
-	// Second life: restore from the checkpoint, finish the stream.
-	srv2, hs2 := bootServer(t, cfg)
-	defer srv2.Close()
-	c2 := &server.Client{Base: hs2.URL, Tenant: "acme"}
-	if _, err := c2.Replay(corpus.Records[cut:], server.ReplayOptions{Batch: 64, Concurrency: 1}); err != nil {
-		t.Fatalf("second-life replay: %v", err)
-	}
-	if _, err := c2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The restored detector must stamp past the persisted cursor.
-	page, err := c2.Anomalies(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range page.Anomalies {
-		if a.Seq <= maxSeq && maxSeq > 0 {
-			t.Fatalf("post-restart seq %d does not advance past pre-kill max %d", a.Seq, maxSeq)
-		}
-	}
-
-	rep, err := c2.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The successor's report covers post-restart emissions plus restored
-	// in-flight sessions; pre-kill findings were already served from the
-	// first life. Combine the two lives, as an operator's client would.
-	combined := detect.Report{Sessions: rep.Sessions}
-	for _, a := range preKill {
-		combined.Anomalies = append(combined.Anomalies, a.Anomaly)
-	}
-	combined.Anomalies = append(combined.Anomalies, rep.Anomalies...)
-	got, err := conformance.Canonicalize(&combined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("kill/restart report diverges from batch detection\nbatch:\n%s\nserved:\n%s", want, got)
 	}
 }

@@ -7,13 +7,24 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"intellog/internal/conformance"
 	"intellog/internal/logging"
 )
+
+// TestLaggedSplitMatchesRouting: the oracle's lagged legs split a corpus
+// exactly as the daemon routes sessions across two ingest workers.
+func TestLaggedSplitMatchesRouting(t *testing.T) {
+	recs := CorpusFor(conformance.DefaultMatrix()[1])
+	if !reflect.DeepEqual(conformance.LaggedSplit(recs, 2), partitionBySession(recs, 2)) {
+		t.Fatal("conformance.LaggedSplit disagrees with the daemon's session routing")
+	}
+}
 
 func TestRetryDelayJitterBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

@@ -5,124 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"intellog/internal/conformance"
-	"intellog/internal/detect"
 	"intellog/internal/logging"
 	"intellog/internal/server"
 )
-
-// metricValue extracts one sample from a Prometheus text exposition.
-func metricValue(t *testing.T, text, name, tenant string) float64 {
-	t.Helper()
-	needle := fmt.Sprintf(`%s{tenant=%q}`, name, tenant)
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, needle) {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimPrefix(line, needle)), 64)
-		if err != nil {
-			t.Fatalf("parse %s: %v", line, err)
-		}
-		return v
-	}
-	t.Fatalf("metric %s not found in exposition", needle)
-	return 0
-}
-
-// TestServeWALKillRestartConformance is the crash-window drill the WAL
-// exists for, over every corpus of the conformance matrix: ingest a
-// third, checkpoint, ingest another third that is ACKED BUT NEVER
-// CHECKPOINTED, SIGKILL, restart, finish the stream. Without the WAL
-// the middle third vanishes (it was acked, then lost); with it, boot
-// replay must reconstruct the stream so exactly that the combined
-// two-life report canonicalizes byte-identical to a serial, never-
-// crashed server over the same corpus.
-func TestServeWALKillRestartConformance(t *testing.T) {
-	for _, spec := range conformance.DefaultMatrix() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			t.Parallel()
-			corpus := spec.Generate()
-			want := serveCorpus(t, spec, corpus, 1)
-
-			modelDir, stateDir := t.TempDir(), t.TempDir()
-			writeModel(t, modelDir, "acme", spec.Framework)
-			cfg := server.Config{
-				ModelDir: modelDir, StateDir: stateDir,
-				DefaultFramework: spec.Framework,
-			}
-			cut1 := len(corpus.Records) / 3
-			cut2 := 2 * len(corpus.Records) / 3
-
-			// First life: checkpoint covers [0, cut1); the crash window
-			// [cut1, cut2) is acked into the WAL and nowhere else.
-			srv1, hs1 := bootServer(t, cfg)
-			c1 := &server.Client{Base: hs1.URL, Tenant: "acme"}
-			if _, err := c1.Replay(corpus.Records[:cut1], server.ReplayOptions{Batch: 64, Concurrency: 1}); err != nil {
-				t.Fatalf("first-life replay: %v", err)
-			}
-			if err := c1.Checkpoint(); err != nil {
-				t.Fatalf("checkpoint: %v", err)
-			}
-			// Read the served findings BEFORE the crash window: its records
-			// will be replayed in the second life and re-emit their findings
-			// there, so reading them now (and only now) counts each exactly
-			// once across the two lives.
-			preKill, err := c1.AllAnomalies()
-			if err != nil {
-				t.Fatalf("pre-kill anomalies: %v", err)
-			}
-			res, err := c1.Replay(corpus.Records[cut1:cut2], server.ReplayOptions{Batch: 64, Concurrency: 1})
-			if err != nil {
-				t.Fatalf("crash-window replay: %v", err)
-			}
-			if res.Records != cut2-cut1 {
-				t.Fatalf("crash window acked %d records, want %d", res.Records, cut2-cut1)
-			}
-			hs1.Close()
-			srv1.Kill() // no drain, no final checkpoint: the acked window survives only in the WAL
-
-			// Second life: boot replay must re-feed exactly the crash window.
-			srv2, hs2 := bootServer(t, cfg)
-			defer srv2.Close()
-			c2 := &server.Client{Base: hs2.URL, Tenant: "acme"}
-			text, err := c2.Metrics()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := metricValue(t, text, "intellogd_wal_replayed_records", "acme"); got != float64(cut2-cut1) {
-				t.Fatalf("wal_replayed_records = %v, want the %d-record crash window", got, cut2-cut1)
-			}
-			if _, err := c2.Replay(corpus.Records[cut2:], server.ReplayOptions{Batch: 64, Concurrency: 1}); err != nil {
-				t.Fatalf("second-life replay: %v", err)
-			}
-			if _, err := c2.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			rep, err := c2.Report()
-			if err != nil {
-				t.Fatal(err)
-			}
-			combined := detect.Report{Sessions: rep.Sessions}
-			for _, a := range preKill {
-				combined.Anomalies = append(combined.Anomalies, a.Anomaly)
-			}
-			combined.Anomalies = append(combined.Anomalies, rep.Anomalies...)
-			got, err := conformance.Canonicalize(&combined)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("WAL kill/restart report diverges from the never-crashed server\nclean:\n%s\ncrashed:\n%s", want, got)
-			}
-		})
-	}
-}
 
 // postNDJSON posts raw NDJSON lines to /v1/ingest and decodes the
 // response at any status.
@@ -150,11 +40,10 @@ func postNDJSON(t *testing.T, base, tenant, body string) (int, server.IngestResp
 func TestIngestDeadLetterAndRequeue(t *testing.T) {
 	modelDir, stateDir := t.TempDir(), t.TempDir()
 	writeModel(t, modelDir, "acme", logging.Spark)
-	srv, hs := bootServer(t, server.Config{
+	l := boot(t, server.Config{
 		ModelDir: modelDir, StateDir: stateDir, DefaultFramework: logging.Spark,
 	})
-	defer srv.Close()
-	c := &server.Client{Base: hs.URL, Tenant: "acme"}
+	c := l.c
 
 	body := strings.Join([]string{
 		`{"message":"task 1 ok","sessionId":"app-1"}`,
@@ -162,7 +51,7 @@ func TestIngestDeadLetterAndRequeue(t *testing.T) {
 		`{"message":"truncated json","sessionId":`, // invalid JSON → DLQ
 		`{"sessionId":"app-2"}`,                    // no message → DLQ
 	}, "\n")
-	code, res := postNDJSON(t, hs.URL, "acme", body)
+	code, res := postNDJSON(t, l.hs.URL, "acme", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("status %d, want 202: one bad record must not fail its batch", code)
 	}
@@ -238,25 +127,9 @@ func TestOversizedRecordDeadLettersNotBatch(t *testing.T) {
 
 	// Reference: a clean server with the default (large) cap sees every
 	// record, small ones first — the order the requeue run produces.
-	refModels := t.TempDir()
-	writeModel(t, refModels, "acme", logging.Spark)
-	refSrv, refHS := bootServer(t, server.Config{ModelDir: refModels, DefaultFramework: logging.Spark})
-	defer refSrv.Close()
-	refC := &server.Client{Base: refHS.URL, Tenant: "acme"}
-	if _, err := refC.IngestRecords(append(append([]logging.Record(nil), recs...), big)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := refC.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	refRep, err := refC.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := conformance.Canonicalize(&refRep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refRep, _ := runServeLeg(t, serveLeg{wire: ndjson, conns: 1, batch: 64, workers: 1},
+		conformance.Spec{Framework: logging.Spark}, append(append([]logging.Record(nil), recs...), big))
+	want := canonicalize(t, refRep)
 
 	// Life 1: a tight record cap dead-letters the big record only.
 	modelDir, stateDir := t.TempDir(), t.TempDir()
@@ -265,8 +138,8 @@ func TestOversizedRecordDeadLettersNotBatch(t *testing.T) {
 		ModelDir: modelDir, StateDir: stateDir,
 		DefaultFramework: logging.Spark, MaxRecordBytes: 256,
 	}
-	srv1, hs1 := bootServer(t, cfg)
-	c1 := &server.Client{Base: hs1.URL, Tenant: "acme"}
+	l1 := boot(t, cfg)
+	c1 := l1.c
 	res, err := c1.IngestRecords(append(append([]logging.Record(nil), recs...), big))
 	if err != nil {
 		t.Fatalf("batch with one oversized record must be 202, got %v", err)
@@ -283,15 +156,13 @@ func TestOversizedRecordDeadLettersNotBatch(t *testing.T) {
 	}
 	// No checkpoint: the acked records and the dead letter survive the
 	// kill purely through the WAL and the DLQ segments.
-	hs1.Close()
-	srv1.Kill()
+	l1.kill()
 
 	// Life 2: the cap is raised; the dead letter requeues cleanly and the
 	// stream converges with the clean run.
 	cfg.MaxRecordBytes = 0 // default 1 MiB
-	srv2, hs2 := bootServer(t, cfg)
-	defer srv2.Close()
-	c2 := &server.Client{Base: hs2.URL, Tenant: "acme"}
+	l2 := boot(t, cfg)
+	c2 := l2.c
 	rq, err := c2.DLQRequeue(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -306,20 +177,15 @@ func TestOversizedRecordDeadLettersNotBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := conformance.Canonicalize(&rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	if got := canonicalize(t, &rep); !bytes.Equal(got, want) {
 		t.Fatalf("requeued stream diverges from clean ingest\nclean:\n%s\nrequeued:\n%s", want, got)
 	}
 
 	// The whole-body budget keeps its non-retryable 413.
-	tinySrv, tinyHS := bootServer(t, server.Config{
-		ModelDir: refModels, DefaultFramework: logging.Spark, MaxBodyBytes: 128,
+	tiny := boot(t, server.Config{
+		ModelDir: modelDir, DefaultFramework: logging.Spark, MaxBodyBytes: 128,
 	})
-	defer tinySrv.Close()
-	code, _ := postNDJSON(t, tinyHS.URL, "acme",
+	code, _ := postNDJSON(t, tiny.hs.URL, "acme",
 		`{"message":"`+strings.Repeat("y", 400)+`","sessionId":"s"}`)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("body past MaxBodyBytes answered %d, want 413", code)

@@ -347,7 +347,7 @@ func assertPlainDecodeAgrees(t *testing.T, body []byte, got []logging.Record) {
 func TestDecodeBatchMatchesWALDecode(t *testing.T) {
 	for _, spec := range conformance.DefaultMatrix() {
 		t.Run(spec.Name, func(t *testing.T) {
-			recs := spec.Generate().Records
+			recs := CorpusFor(spec)
 			cache := spell.NewLookupCache(len(recs) + 1)
 			for i := 0; i < len(recs); i += 2 {
 				cache.AddAux(recs[i].Message, nil, nil)

@@ -18,7 +18,7 @@ import (
 )
 
 // assertSameKeys fails unless both parsers hold identical key sets.
-func assertSameKeys(t *testing.T, indexed, naive *spell.Parser) {
+func assertSameKeys(t *testing.T, indexed *spell.Parser, naive *spell.NaiveParser) {
 	t.Helper()
 	ik, nk := indexed.Keys(), naive.Keys()
 	if len(ik) != len(nk) {
@@ -43,7 +43,7 @@ func assertSameKeys(t *testing.T, indexed, naive *spell.Parser) {
 
 // consumeBoth feeds one tokenized message to both parsers and fails on
 // any divergence in the returned key.
-func consumeBoth(t *testing.T, indexed, naive *spell.Parser, tokens []string) {
+func consumeBoth(t *testing.T, indexed *spell.Parser, naive *spell.NaiveParser, tokens []string) {
 	t.Helper()
 	// The parsers may rewrite token slices; give each its own copy.
 	ki := indexed.Consume(append([]string(nil), tokens...))

@@ -1,33 +1,6 @@
 package spell
 
-// Test-only exports. The naive reference matcher stays unexported in
-// production code; equivalence tests and ablation benchmarks reach it
-// through this shim.
-
-// NewNaiveParser returns a Parser running the seed linear-scan matcher.
-var NewNaiveParser = newNaiveParser
-
-// NewNaiveClassicParser is the naive matcher without the constant-word
-// merge guard.
-func NewNaiveClassicParser(t float64) *Parser {
-	p := newNaiveParser(t)
-	p.classicLCS = true
-	return p
-}
-
-// TryMergeRef exposes the reference LCS merge.
-var TryMergeRef = tryMergeRef
-
-// RestoreNaiveParser is the seed Restore: rebuild byLen buckets around
-// existing keys, on a parser routed through the naive matcher.
-func RestoreNaiveParser(t float64, keys []*Key) *Parser {
-	p := newNaiveParser(t)
-	for _, k := range keys {
-		p.keys = append(p.keys, k)
-		p.byLen[len(k.Tokens)] = append(p.byLen[len(k.Tokens)], k)
-	}
-	return p
-}
+// Test-only exports.
 
 // TryMergeIDsForTest runs the interned-ID merge on raw token strings via
 // a throwaway interner and maps the result back to strings.

@@ -1,7 +1,7 @@
 package spell
 
 // Inverted indexing of keys by their constant (non-wildcard) tokens. Two
-// structures replace the linear byLen scans of the seed matcher:
+// structures replace the linear length-bucket scans of the seed matcher:
 //
 //   - lens buckets every key by length, then by (first-constant position,
 //     token text). A positional lookup probes one bucket per candidate
@@ -131,8 +131,8 @@ func removeKey(s []*Key, k *Key) []*Key {
 }
 
 // matchPositional returns the positionally matching key with the smallest
-// bucket sequence — exactly the key the seed matcher's in-order byLen scan
-// would have returned first — or nil. Read-only and allocation-free; safe
+// bucket sequence — exactly the key the seed matcher's in-order
+// length-bucket scan would have returned first — or nil. Read-only and allocation-free; safe
 // for concurrent callers.
 func (p *Parser) matchPositional(tokens []string) *Key {
 	lb := p.lens[len(tokens)]

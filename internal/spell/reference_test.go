@@ -1,9 +1,10 @@
 package spell
 
-// The seed linear-scan matcher, preserved verbatim behind Parser.naive.
-// Equivalence tests (equivalence_test.go) run randomized corpora through
-// both matchers and require byte-identical keys; the ablation benchmarks
-// in bench_test.go quantify what the indexed path buys.
+// The seed linear-scan matcher, kept as a test-only reference type.
+// Equivalence tests (equivalence_test.go, fuzz_test.go) run randomized
+// corpora through it and the indexed Parser and require byte-identical
+// keys; the ablation benchmarks in bench_test.go quantify what the
+// indexed path buys.
 //
 // One cleanup versus the seed: tryMergeRef drops the seed's unreachable
 // wildcard-collapse arm (`else if … tok == Wildcard` nested under the
@@ -12,9 +13,49 @@ package spell
 // pins the resulting (unchanged) semantics: aligned wildcards are kept
 // as-is, only divergent runs collapse to a single wildcard.
 
-// consumeNaive is the seed Consume: positional scan of the same-length
+// NaiveParser is the seed matcher: keys bucketed by token count and
+// scanned in bucket order.
+type NaiveParser struct {
+	t          float64
+	classicLCS bool
+	keys       []*Key
+	byLen      map[int][]*Key
+}
+
+// NewNaiveParser returns the seed matcher with threshold t (≤ 1 means
+// DefaultThreshold).
+func NewNaiveParser(t float64) *NaiveParser {
+	if t <= 1 {
+		t = DefaultThreshold
+	}
+	return &NaiveParser{t: t, byLen: make(map[int][]*Key)}
+}
+
+// NewNaiveClassicParser is the seed matcher without the constant-word
+// merge guard.
+func NewNaiveClassicParser(t float64) *NaiveParser {
+	p := NewNaiveParser(t)
+	p.classicLCS = true
+	return p
+}
+
+// RestoreNaiveParser is the seed Restore: rebuild the length buckets
+// around existing keys.
+func RestoreNaiveParser(t float64, keys []*Key) *NaiveParser {
+	p := NewNaiveParser(t)
+	for _, k := range keys {
+		p.keys = append(p.keys, k)
+		p.byLen[len(k.Tokens)] = append(p.byLen[len(k.Tokens)], k)
+	}
+	return p
+}
+
+// Keys returns all keys discovered so far, in discovery order.
+func (p *NaiveParser) Keys() []*Key { return p.keys }
+
+// Consume is the seed Consume: positional scan of the same-length
 // bucket, then an LCS pass over every key in the length window.
-func (p *Parser) consumeNaive(tokens []string) *Key {
+func (p *NaiveParser) Consume(tokens []string) *Key {
 	if len(tokens) == 0 {
 		return nil
 	}
@@ -51,7 +92,7 @@ func (p *Parser) consumeNaive(tokens []string) *Key {
 	}
 	if best != nil {
 		if len(bestMerged) != len(best.Tokens) {
-			p.reindexNaive(best, bestMerged)
+			p.reindex(best, bestMerged)
 		} else {
 			best.Tokens = bestMerged
 		}
@@ -64,9 +105,8 @@ func (p *Parser) consumeNaive(tokens []string) *Key {
 	return k
 }
 
-// lookupNaive is the seed Lookup: an in-order scan of the same-length
-// bucket.
-func (p *Parser) lookupNaive(tokens []string) *Key {
+// Lookup is the seed Lookup: an in-order scan of the same-length bucket.
+func (p *NaiveParser) Lookup(tokens []string) *Key {
 	for _, k := range p.byLen[len(tokens)] {
 		if positionalMatch(k.Tokens, tokens) {
 			return k
@@ -75,9 +115,9 @@ func (p *Parser) lookupNaive(tokens []string) *Key {
 	return nil
 }
 
-// reindexNaive moves a key between length buckets after a merge changed
-// its token count.
-func (p *Parser) reindexNaive(k *Key, merged []string) {
+// reindex moves a key between length buckets after a merge changed its
+// token count.
+func (p *NaiveParser) reindex(k *Key, merged []string) {
 	old := p.byLen[len(k.Tokens)]
 	for i, kk := range old {
 		if kk == k {
@@ -87,6 +127,17 @@ func (p *Parser) reindexNaive(k *Key, merged []string) {
 	}
 	k.Tokens = merged
 	p.byLen[len(merged)] = append(p.byLen[len(merged)], k)
+}
+
+// countWildcards returns the number of Wildcard tokens in a key sequence.
+func countWildcards(key []string) int {
+	n := 0
+	for _, t := range key {
+		if t == Wildcard {
+			n++
+		}
+	}
+	return n
 }
 
 // tryMergeRef aligns key and tokens by LCS and produces the merged key:

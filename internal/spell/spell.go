@@ -24,8 +24,9 @@
 // bucket, and the LCS path only considers keys sharing at least one
 // constant token with the message. DP scratch comes from sync.Pools, so
 // steady-state matching allocates nothing. The output is byte-identical
-// to the seed linear-scan matcher (reference.go), which is kept for
-// equivalence tests and ablation benchmarks.
+// to the seed linear-scan matcher, which the package's tests keep as a
+// reference (reference_test.go) for equivalence tests and ablation
+// benchmarks.
 package spell
 
 import (
@@ -53,7 +54,7 @@ type Key struct {
 	// skipped by encoding/json, so persisted models carry only the string
 	// form; Restore re-interns.
 	ids []int32
-	// seq reproduces the seed matcher's byLen bucket order: assigned on
+	// seq reproduces the seed matcher's length-bucket order: assigned on
 	// creation and on every length-changing merge (which re-appended the
 	// key at the end of its new bucket).
 	seq int
@@ -89,19 +90,11 @@ func (k *Key) NumWildcards() int {
 type Parser struct {
 	t    float64
 	keys []*Key
-	// byLen indexes keys by token count. The indexed matcher does not scan
-	// it, but it is maintained so the reference matcher, Restore and
-	// equivalence tests see the exact seed layout.
-	byLen map[int][]*Key
 	// classicLCS disables the constant-word merge guard, reverting to the
 	// original Spell rule (merge whenever the LCS clears the threshold,
 	// wildcarding any divergent token). Exposed for the ablation that
 	// motivates the guard.
 	classicLCS bool
-	// naive routes Consume/Lookup through the seed linear-scan matcher
-	// (reference.go); equivalence tests flip it to prove the indexed
-	// matcher produces identical keys.
-	naive bool
 
 	in *interner
 	// lens is the per-length anchor index (see index.go).
@@ -127,14 +120,6 @@ func NewClassicParser(t float64) *Parser {
 	return p
 }
 
-// newNaiveParser returns a Parser running the seed linear-scan matcher;
-// equivalence tests and ablation benchmarks use it as the reference.
-func newNaiveParser(t float64) *Parser {
-	p := NewParser(t)
-	p.naive = true
-	return p
-}
-
 // DefaultThreshold is the t value the paper found effective (§5).
 const DefaultThreshold = 1.7
 
@@ -146,7 +131,6 @@ func NewParser(t float64) *Parser {
 	}
 	return &Parser{
 		t:        t,
-		byLen:    make(map[int][]*Key),
 		in:       newInterner(),
 		lens:     make(map[int]*lenBuckets),
 		postings: make(map[int32][]*Key),
@@ -171,7 +155,7 @@ func Restore(t float64, keys []*Key) *Parser {
 }
 
 // indexKey interns k's tokens, assigns its bucket sequence and registers
-// it in byLen and the inverted index.
+// it in the inverted index.
 func (p *Parser) indexKey(k *Key) {
 	ids := make([]int32, len(k.Tokens))
 	for i, tok := range k.Tokens {
@@ -179,7 +163,6 @@ func (p *Parser) indexKey(k *Key) {
 	}
 	k.ids = ids
 	k.seq = p.nextSeq()
-	p.byLen[len(k.Tokens)] = append(p.byLen[len(k.Tokens)], k)
 	p.addToIndex(k)
 }
 
@@ -191,14 +174,11 @@ func (p *Parser) nextSeq() int {
 // Consume processes one tokenized message and returns its key, creating or
 // refining keys as needed.
 func (p *Parser) Consume(tokens []string) *Key {
-	if p.naive {
-		return p.consumeNaive(tokens)
-	}
 	if len(tokens) == 0 {
 		return nil
 	}
 	// Fast path: positional match against same-length keys, via the anchor
-	// index instead of a byLen scan. Runs on token text, so repeats of an
+	// index instead of a length-bucket scan. Runs on token text, so repeats of an
 	// established template never touch the interner.
 	if k := p.matchPositional(tokens); k != nil {
 		k.Count++
@@ -301,29 +281,21 @@ func (p *Parser) bestMerge(ids []int32) (*Key, []int32) {
 // applyMerge rewrites key k with the merged token IDs, keeping every
 // index structure consistent and reproducing the seed matcher's bucket
 // mechanics: a same-length merge rewrites tokens in place, a
-// length-changing merge moves the key to the end of its new byLen bucket
-// (fresh seq).
+// length-changing merge moves the key to the end of its new length
+// bucket (fresh seq).
 func (p *Parser) applyMerge(k *Key, merged []int32) {
 	if idsEqual(k.ids, merged) {
 		return // merge kept the key's tokens verbatim; only Count changes
 	}
 	p.removeFromIndex(k)
-	oldLen := len(k.ids)
+	lenChanged := len(merged) != len(k.ids)
 	k.ids = append(k.ids[:0], merged...)
 	toks := make([]string, len(merged))
 	for i, id := range merged {
 		toks[i] = p.in.token(id)
 	}
 	k.Tokens = toks
-	if len(merged) != oldLen {
-		old := p.byLen[oldLen]
-		for i, kk := range old {
-			if kk == k {
-				p.byLen[oldLen] = append(old[:i], old[i+1:]...)
-				break
-			}
-		}
-		p.byLen[len(merged)] = append(p.byLen[len(merged)], k)
+	if lenChanged {
 		k.seq = p.nextSeq()
 	}
 	p.addToIndex(k)
@@ -359,9 +331,6 @@ func (s byLenSeq) Less(i, j int) bool {
 // anomalies rather than new keys. Safe for concurrent callers once
 // consumption is done.
 func (p *Parser) Lookup(tokens []string) *Key {
-	if p.naive {
-		return p.lookupNaive(tokens)
-	}
 	if len(tokens) == 0 {
 		return nil
 	}
@@ -531,15 +500,4 @@ func variableLooking(tok string) bool {
 		return true
 	}
 	return false
-}
-
-// countWildcards returns the number of Wildcard tokens in a key sequence.
-func countWildcards(key []string) int {
-	n := 0
-	for _, t := range key {
-		if t == Wildcard {
-			n++
-		}
-	}
-	return n
 }
