@@ -92,10 +92,14 @@ func Train(sessions []*logging.Session, cfg Config) *Model {
 	cache := spell.NewLookupCache(0)
 	for msg, e := range memo {
 		k := parser.Lookup(e.texts)
-		cl := &extract.CachedLookup{}
 		if k == nil {
-			cl.Tokens = e.toks // only unmatched renderings are split again
-		} else if ik := keyIndex[k.ID]; ik != nil && ik.NaturalLanguage {
+			// An unmatched rendering's memo carries its bound ad-hoc
+			// extraction, which needs the detector's group table: the
+			// detector publishes it on first sight.
+			continue
+		}
+		cl := &extract.CachedLookup{}
+		if ik := keyIndex[k.ID]; ik != nil && ik.NaturalLanguage {
 			cl.Proto = extract.BindProto(ik, e.toks, msg)
 			e.proto = cl.Proto
 		}

@@ -120,18 +120,18 @@ func SaveCheckpointAt(w io.Writer, m *Model, st *detect.StreamState, cursor int6
 }
 
 // SaveCheckpointState is SaveCheckpointAt with an opaque serving-layer
-// analytics payload (see checkpointJSON.Analytics); nil omits it.
+// analytics payload (see checkpointJSON.Analytics); nil omits it. The
+// JSON is compact: a checkpoint is a recovery file, not a queryable
+// artifact, and indenting it costs a second pass and a second full-size
+// buffer. Checkpoints written indented by earlier versions still load.
 func SaveCheckpointState(w io.Writer, m *Model, st *detect.StreamState, cursor int64, analytics []byte) error {
-	out := checkpointJSON{
+	return json.NewEncoder(w).Encode(checkpointJSON{
 		Version:   checkpointVersion,
 		Model:     m.toJSON(),
 		Stream:    st,
 		Cursor:    cursor,
 		Analytics: analytics,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	})
 }
 
 // LoadCheckpoint restores a checkpoint written by SaveCheckpoint. The

@@ -181,3 +181,71 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		t.Error("model without graph accepted")
 	}
 }
+
+// TestIndentedCheckpointStillLoads: checkpoints are written compact now,
+// but files written by earlier versions, through an Encoder with
+// SetIndent("", " "), must keep loading: same cursor, same analytics
+// payload, and a restored detector whose remaining findings and Flush
+// report are byte-identical to the compact form's.
+func TestIndentedCheckpointStillLoads(t *testing.T) {
+	m := trainMini(t)
+	cfg := detect.StreamConfig{IdleTimeout: time.Minute}
+	recs := checkpointCorpus()
+	cut := len(recs) / 2
+	sd := detect.NewStream(m.Detector(), cfg)
+	for _, r := range recs[:cut] {
+		sd.Consume(r)
+	}
+	st := sd.State()
+	analytics := []byte(`{"version":1,"observed":3}`)
+
+	var compact, indented bytes.Buffer
+	if err := SaveCheckpointState(&compact, m, st, 42, analytics); err != nil {
+		t.Fatal(err)
+	}
+	enc := json.NewEncoder(&indented)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(checkpointJSON{Version: checkpointVersion, Model: m.toJSON(), Stream: st, Cursor: 42, Analytics: analytics}); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(compact.Bytes(), []byte("\n ")) || compact.Len() >= indented.Len() {
+		t.Fatalf("checkpoint is not compact: %d bytes, indented form %d", compact.Len(), indented.Len())
+	}
+	var reindented bytes.Buffer
+	if err := json.Indent(&reindented, compact.Bytes(), "", " "); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reindented.Bytes(), indented.Bytes()) {
+		t.Fatal("the compact and indented checkpoints encode different documents")
+	}
+
+	finish := func(ckpt []byte) string {
+		t.Helper()
+		m2, st2, cursor, blob, err := LoadCheckpointState(bytes.NewReader(ckpt))
+		if err != nil {
+			t.Fatalf("LoadCheckpointState: %v", err)
+		}
+		var gotBlob bytes.Buffer
+		if err := json.Compact(&gotBlob, blob); err != nil || cursor != 42 || !bytes.Equal(gotBlob.Bytes(), analytics) {
+			t.Fatalf("cursor %d, analytics %s (%v); want 42, %s", cursor, blob, err, analytics)
+		}
+		sd2, err := m2.RestoreStream(cfg, st2)
+		if err != nil {
+			t.Fatalf("RestoreStream: %v", err)
+		}
+		var all []detect.Anomaly
+		for _, r := range recs[cut:] {
+			all = append(all, sd2.Consume(r)...)
+		}
+		rep := sd2.Flush()
+		raw, err := json.Marshal(append(all, rep.Anomalies...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw) + "\n" + rep.Summary()
+	}
+	want := finish(compact.Bytes())
+	if got := finish(indented.Bytes()); got != want {
+		t.Errorf("an indented checkpoint restores differently:\ngot:  %s\nwant: %s", got, want)
+	}
+}

@@ -9,7 +9,6 @@ package detect
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -303,12 +302,10 @@ func (d *Detector) lookupRecord(rec *logging.Record, scr *sessionScratch) (key *
 	cl = &extract.CachedLookup{}
 	if key == nil {
 		// Unmatched rendering: every repeat becomes an unexpected-message
-		// anomaly, so precompute the ad-hoc extraction once here instead of
-		// once per record in unexpected (which used to dominate the
-		// allocation profile on anomaly-heavy streams). Only this path
-		// reads the token split again, so only it keeps a copy.
-		cl.Tokens = slices.Clone(scr.toks)
-		d.buildAdhoc(rec.Message, cl)
+		// anomaly, so bind its ad-hoc extraction once here instead of once
+		// per record in unexpected (which used to dominate the allocation
+		// profile on anomaly-heavy streams).
+		d.buildAdhoc(rec.Message, scr.toks, cl)
 	} else if ik := d.Keys[key.ID]; ik != nil && ik.NaturalLanguage {
 		cl.Proto = extract.BindProto(ik, scr.toks, rec.Message)
 	}
@@ -320,12 +317,12 @@ func (d *Detector) lookupRecord(rec *logging.Record, scr *sessionScratch) (key *
 }
 
 // buildAdhoc fills cl's unexpected-message memo for an unmatched raw
-// message: the ad-hoc Intel Key, its entity-group attribution, and the
-// summary line. Everything here depends only on the text (the group
-// table is frozen with the graph), so it runs once per distinct
-// rendering and unexpected binds per record from the memo.
-func (d *Detector) buildAdhoc(msg string, cl *extract.CachedLookup) {
-	texts := nlp.Texts(cl.Tokens)
+// message: the ad-hoc Intel Key's bound extraction, its entity-group
+// attribution, and the summary line. Everything here depends only on the
+// text (the group table is frozen with the graph), so it runs once per
+// distinct rendering and unexpected copies the result per record.
+func (d *Detector) buildAdhoc(msg string, toks []nlp.Token, cl *extract.CachedLookup) {
+	texts := nlp.Texts(toks)
 	adhoc := &spell.Key{ID: -1, Tokens: texts, Sample: texts}
 	ik := extract.BuildIntelKey(adhoc)
 	// Attribute the message to a trained entity group — the paper's
@@ -353,7 +350,8 @@ func (d *Detector) buildAdhoc(msg string, cl *extract.CachedLookup) {
 	if grp == "" && len(ik.Entities) > 0 {
 		grp = ik.Entities[0]
 	}
-	cl.Adhoc, cl.AdhocGroup = ik, grp
+	cl.Adhoc = extract.Bind(ik, toks, time.Time{}, "", msg)
+	cl.AdhocGroup = grp
 	cl.AdhocDetail = fmt.Sprintf("no Intel Key matches %q", msg)
 }
 
@@ -384,7 +382,7 @@ func (d *Detector) detectSession(s *logging.Session, scr *sessionScratch) []Anom
 		}
 		key, cl := d.lookupRecord(rec, scr)
 		if key == nil {
-			anomalies = append(anomalies, d.unexpected(s, rec, cl))
+			anomalies = append(anomalies, d.unexpected(s.ID, rec, cl))
 			continue
 		}
 		if cl.Proto == nil {
@@ -429,22 +427,18 @@ func (d *Detector) DetectParallel(sessions []*logging.Session, shards int) *Repo
 	return r
 }
 
-// unexpected builds the UnexpectedMessage anomaly from the rendering's
-// cached ad-hoc extraction; only the per-record Bind (time and session
-// vary) runs per repeat.
-func (d *Detector) unexpected(s *logging.Session, rec *logging.Record, cl *extract.CachedLookup) Anomaly {
-	if cl.Adhoc == nil {
-		// Memo published without the adhoc extraction (training's warm-up
-		// stores only the token split of an unmatched rendering): fill a
-		// private copy, leaving the shared memo untouched.
-		tmp := &extract.CachedLookup{Tokens: cl.Tokens}
-		d.buildAdhoc(rec.Message, tmp)
-		cl = tmp
-	}
-	m := extract.Bind(cl.Adhoc, cl.Tokens, rec.Time, s.ID, rec.Message)
+// unexpected builds the UnexpectedMessage anomaly of rec from its
+// rendering's memo: one Message copy of the bound ad-hoc extraction,
+// stamped with the record's time, session and text and sharing the
+// memo's maps. The anomaly keeps rec, so the caller passes a record it
+// does not reuse.
+func (d *Detector) unexpected(session string, rec *logging.Record, cl *extract.CachedLookup) Anomaly {
+	m := new(extract.Message)
+	*m = *cl.Adhoc
+	m.Time, m.Session, m.Raw = rec.Time, session, rec.Message
 	return Anomaly{
 		At:      rec.Time,
-		Session: s.ID, Kind: UnexpectedMessage, Group: cl.AdhocGroup,
+		Session: session, Kind: UnexpectedMessage, Group: cl.AdhocGroup,
 		Record: rec, Extracted: m,
 		Detail: cl.AdhocDetail,
 	}

@@ -232,7 +232,7 @@ func (s *StreamDetector) Consume(rec logging.Record) []Anomaly {
 	scr := s.d.getScratch()
 	key, cl := s.d.lookupRecord(&rec, scr)
 	s.d.putScratch(scr)
-	return s.consumeResolved(rec, key, cl)
+	return s.consumeResolved(nil, rec, key, cl)
 }
 
 // ConsumeBatch processes a slice of records with the pipeline split into
@@ -271,7 +271,7 @@ func (s *StreamDetector) ConsumeBatch(recs []logging.Record, workers int) []Anom
 	})
 	var out []Anomaly
 	for i := range recs {
-		out = append(out, s.consumeResolved(recs[i], resolved[i].key, resolved[i].cl)...)
+		out = s.consumeResolved(out, recs[i], resolved[i].key, resolved[i].cl)
 	}
 	*rp = resolved[:0]
 	resolvedScratch.Put(rp)
@@ -294,8 +294,11 @@ var resolvedScratch = sync.Pool{New: func() any { return new([]resolvedRec) }}
 
 // consumeResolved is the ordered apply stage: it advances the stream
 // clock, buffers (or rejects) the already-resolved record, and collects
-// any sessions the record's timestamp idles out.
-func (s *StreamDetector) consumeResolved(rec logging.Record, key *spell.Key, cl *extract.CachedLookup) []Anomaly {
+// any sessions the record's timestamp idles out. It appends the findings
+// to out and returns the extended slice. rec is taken by value and
+// copied to the heap only when an unexpected-message anomaly keeps it,
+// so a matched record costs no allocation here.
+func (s *StreamDetector) consumeResolved(out []Anomaly, rec logging.Record, key *spell.Key, cl *extract.CachedLookup) []Anomaly {
 	now := rec.Time.UnixNano()
 	s.mu.Lock()
 	if now > s.latest {
@@ -328,22 +331,26 @@ func (s *StreamDetector) consumeResolved(rec logging.Record, key *spell.Key, cl 
 		buf.last = rec.Time
 	}
 
-	var out []Anomaly
+	// The record's own finding, if any, is emitted after the findings of
+	// the sessions it evicted or idled out.
+	var own Anomaly
+	hasOwn := false
 	switch {
 	case key == nil:
-		sess := &logging.Session{ID: rec.SessionID, Framework: rec.Framework}
-		out = append(out, s.d.unexpected(sess, &rec, cl))
+		kept := new(logging.Record)
+		*kept = rec
+		own, hasOwn = s.d.unexpected(rec.SessionID, kept, cl), true
 	case cl.Proto == nil:
 		// Matched non-NL key: ignore-listed, never an anomaly.
 	default:
 		if max := s.cfg.MaxSessionMsgs; max > 0 && len(buf.msgs) >= max {
 			if !buf.overflowed {
-				buf.overflowed = true
-				out = append(out, Anomaly{
+				buf.overflowed, hasOwn = true, true
+				own = Anomaly{
 					At:      rec.Time,
 					Session: buf.id, Kind: Overflow,
 					Detail: fmt.Sprintf("session %q reached the %d buffered-message cap; further messages dropped", buf.id, max),
-				})
+				}
 			}
 			buf.dropped++
 		} else {
@@ -355,21 +362,25 @@ func (s *StreamDetector) consumeResolved(rec logging.Record, key *spell.Key, cl 
 
 	// Finalize outside the lock: the bufs are out of the table, so they are
 	// exclusively owned here and go back to the pool once checked.
-	var findings []Anomaly
+	n := len(out)
 	if evicted != nil {
-		findings = append(findings, Anomaly{
+		out = append(out, Anomaly{
 			At:      evicted.last,
 			Session: evicted.id, Kind: Overflow,
 			Detail: fmt.Sprintf("session %q force-closed: %d in-flight sessions reached the cap", evicted.id, s.cfg.MaxSessions),
 		})
-		findings = append(findings, s.finalize(evicted)...)
+		out = append(out, s.finalize(evicted)...)
 		releaseSessionBuf(evicted)
 	}
 	for _, b := range expired {
-		findings = append(findings, s.finalize(b)...)
+		out = append(out, s.finalize(b)...)
 		releaseSessionBuf(b)
 	}
-	return s.stamp(append(findings, out...))
+	if hasOwn {
+		out = append(out, own)
+	}
+	s.stamp(out[n:])
+	return out
 }
 
 // expireLocked removes and returns, oldest first, every session whose
@@ -378,7 +389,8 @@ func (s *StreamDetector) consumeResolved(rec logging.Record, key *spell.Key, cl 
 // refreshed as they surface. Caller holds s.mu.
 func (s *StreamDetector) expireLocked(cutoff int64, exempt string) []*sessionBuf {
 	var out []*sessionBuf
-	var deferred *expiryEntry
+	var deferred expiryEntry
+	hasDeferred := false
 	for len(s.heap) > 0 && s.heap[0].at < cutoff {
 		e := s.heap.pop()
 		buf := s.sessions[e.id]
@@ -393,14 +405,14 @@ func (s *StreamDetector) expireLocked(cutoff int64, exempt string) []*sessionBuf
 			// Keep the exempt session scheduled, but re-push only after the
 			// loop — re-pushing an entry already past the cutoff now would
 			// surface it again immediately.
-			deferred = &e
+			deferred, hasDeferred = e, true
 			continue
 		}
 		delete(s.sessions, e.id)
 		out = append(out, buf)
 	}
-	if deferred != nil {
-		s.heap.push(*deferred)
+	if hasDeferred {
+		s.heap.push(deferred)
 	}
 	return out
 }

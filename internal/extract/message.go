@@ -217,24 +217,20 @@ func BindProto(key *IntelKey, tokens []nlp.Token, raw string) *Message {
 // and HW-graph modeling folds; it has no field maps, so the query API
 // binds full Intel Messages with Bind instead. Everything a published
 // memo references is shared and read-only.
-//
-// Tokens is kept only for unmatched renderings (key == nil), whose
-// ad-hoc extraction and per-record Bind read it; publishers leave it nil
-// otherwise, and copy it out of any buffer they reuse.
 type CachedLookup struct {
-	Tokens []nlp.Token
-	Proto  *Message
+	Proto *Message
 
-	// Adhoc is the §3 extraction of an unmatched rendering (key == nil):
-	// the ad-hoc Intel Key the detector's unexpected-message handler binds
-	// per record. Anomaly streams repeat the same unexpected message, and
-	// re-running entity/operation extraction per repeat dominated the
-	// detection allocation profile — the extraction depends only on the
-	// raw text, so it is built once per distinct rendering. AdhocGroup and
+	// Adhoc is the §3 extraction of an unmatched rendering (key == nil),
+	// already bound: Bind of the rendering's ad-hoc Intel Key with a zero
+	// time and no session. Every repeat of the rendering is an
+	// unexpected-message anomaly, and the extraction depends only on the
+	// raw text, so it is built once per distinct rendering and each
+	// anomaly copies it with its own time and session, sharing the maps
+	// (Rebinder's contract: consumers never mutate them). AdhocGroup and
 	// AdhocDetail carry the (equally text-determined) entity-group
 	// attribution and summary line. All three are set before the memo is
 	// published to the cache and read-only after.
-	Adhoc       *IntelKey
+	Adhoc       *Message
 	AdhocGroup  string
 	AdhocDetail string
 }

@@ -404,7 +404,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	ok := t.control(func() {
 		rep := t.sd.Flush()
 		t.sink.append(rep.Anomalies)
-		s.countAnomalies(t.name, rep.Anomalies)
+		t.countAnomalies(rep.Anomalies)
 		resp = FlushResponse{Sessions: rep.Sessions, Findings: len(rep.Anomalies)}
 	}, true)
 	if !ok {

@@ -499,27 +499,6 @@ func (s *Server) Kill() {
 	}
 }
 
-// countAnomalies mirrors emitted findings into the per-kind counters,
-// batched per kind so a burst of findings costs one registry probe and
-// one atomic add per kind instead of one of each per anomaly.
-func (s *Server) countAnomalies(tenantName string, as []detect.Anomaly) {
-	var counts [int(detect.Overflow) + 1]int
-	for i := range as {
-		if k := as[i].Kind; k >= 0 && int(k) < len(counts) {
-			counts[k]++
-		}
-	}
-	for k, n := range counts {
-		if n == 0 {
-			continue
-		}
-		s.reg.Counter("intellogd_anomalies_total",
-			"anomalies emitted, by tenant and kind",
-			metrics.Label{Key: "tenant", Value: tenantName},
-			metrics.Label{Key: "kind", Value: detect.Kind(k).String()}).Add(float64(n))
-	}
-}
-
 // registerGauges wires the scrape-time gauge collectors: queue and
 // session state read straight off the detectors, plus the model lookup
 // cache hit rate.

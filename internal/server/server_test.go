@@ -428,6 +428,57 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestAnomalyCountersFromLoad: a freshly loaded tenant's /metrics carries
+// intellogd_anomalies_total at 0 for every kind, so the series exist
+// before the first finding (ingest acks before the worker applies, so a
+// scrape right after an ack must not depend on the apply having run), and
+// each kind's series counts the findings that follow.
+func TestAnomalyCountersFromLoad(t *testing.T) {
+	modelDir := t.TempDir()
+	saveSparkModel(t, modelDir, "acme")
+	s, err := New(Config{ModelDir: modelDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	c := &Client{Base: hs.URL, Tenant: "acme"}
+	tn, err := s.Tenant("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := func(k detect.Kind) string {
+		return fmt.Sprintf(`intellogd_anomalies_total{kind="%s",tenant="acme"} `, k)
+	}
+	text, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := detect.UnexpectedMessage; k <= detect.Overflow; k++ {
+		if !strings.Contains(text, series(k)+"0\n") {
+			t.Errorf("fresh tenant's /metrics lacks %q0", series(k))
+		}
+	}
+
+	if _, err := c.IngestRecords(testRecords("sess-1", 5)); err != nil { // 5 unexpected messages
+		t.Fatal(err)
+	}
+	tn.control(func() {}, true)
+	if text, err = c.Metrics(); err != nil {
+		t.Fatal(err)
+	}
+	for k := detect.UnexpectedMessage; k <= detect.Overflow; k++ {
+		want := series(k) + "0\n"
+		if k == detect.UnexpectedMessage {
+			want = series(k) + "5\n"
+		}
+		if !strings.Contains(text, want) {
+			t.Errorf("/metrics lacks %q after five unexpected messages", want)
+		}
+	}
+}
+
 // TestMetricsLookupCacheOccupancy: /metrics carries each tenant's lookup
 // cache occupancy and its doorkeeper declines, and both follow the cache:
 // once it is full, a rendering's first sighting is declined.

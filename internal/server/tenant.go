@@ -85,9 +85,11 @@ type tenant struct {
 	// validation.
 	wal *wal.Log
 	dlq *wal.DLQ
-	// dlqRecords counts records dead-lettered; registered at load so the
-	// series reads 0 before the first dead letter instead of being absent.
+	// dlqRecords counts records dead-lettered and anomalies the findings
+	// emitted, per detect.Kind. Both are registered at load, so every
+	// series reads 0 before its first event instead of being absent.
 	dlqRecords *metrics.Counter
+	anomalies  [int(detect.Overflow) + 1]*metrics.Counter
 
 	// ingest counters (mirrored into /metrics).
 	records     atomic.Uint64 // accepted records
@@ -155,6 +157,12 @@ func newTenant(srv *Server, name string, m *core.Model, st *detect.StreamState, 
 	t.dlqRecords = srv.reg.Counter("intellogd_dlq_records_total",
 		"records dead-lettered per tenant",
 		metrics.Label{Key: "tenant", Value: name})
+	for k := range t.anomalies {
+		t.anomalies[k] = srv.reg.Counter("intellogd_anomalies_total",
+			"anomalies emitted, by tenant and kind",
+			metrics.Label{Key: "tenant", Value: name},
+			metrics.Label{Key: "kind", Value: detect.Kind(k).String()})
+	}
 	if srv.cfg.walEnabled() {
 		if err := t.openWALAndReplay(st); err != nil {
 			dlq.Close()
@@ -208,7 +216,7 @@ func (t *tenant) openWALAndReplay(st *detect.StreamState) error {
 	replayed, err := wl.ReplayAfter(cursor, func(recs []logging.Record) error {
 		if anoms := t.sd.ConsumeBatch(recs, 0); len(anoms) > 0 {
 			t.sink.append(anoms)
-			t.srv.countAnomalies(t.name, anoms)
+			t.countAnomalies(anoms)
 		}
 		return nil
 	})
@@ -240,7 +248,7 @@ func (t *tenant) run(q chan task) {
 		}
 		if anoms := t.sd.ConsumeBatch(tk.b.Recs, 0); len(anoms) > 0 {
 			t.sink.append(anoms)
-			t.srv.countAnomalies(t.name, anoms)
+			t.countAnomalies(anoms)
 		}
 		n := tk.b.Len()
 		// The detector consumed in place and retains nothing from the
@@ -248,6 +256,23 @@ func (t *tenant) run(q chan task) {
 		// recycles here — the end of its ownership chain.
 		tk.b.Release()
 		t.pending.Add(int64(-n))
+	}
+}
+
+// countAnomalies mirrors emitted findings into the tenant's per-kind
+// counters, batched per kind so a burst of findings costs one atomic add
+// per kind instead of one per anomaly.
+func (t *tenant) countAnomalies(as []detect.Anomaly) {
+	var counts [len(t.anomalies)]int
+	for i := range as {
+		if k := as[i].Kind; k >= 0 && int(k) < len(counts) {
+			counts[k]++
+		}
+	}
+	for k, n := range counts {
+		if n > 0 {
+			t.anomalies[k].Add(float64(n))
+		}
 	}
 }
 

@@ -4,9 +4,12 @@
 # checkpoints, WAL on) and, in the middle of its measured phase, pull
 # from the daemon at once a CPU profile (/debug/pprof/profile) and a
 # delta allocation profile over the same window (/debug/pprof/allocs
-# with seconds=). Writes, per workload,
+# with seconds=), and, two seconds before that window ends, the live
+# heap (/debug/pprof/heap; the daemon exits soon after the window).
+# Writes, per workload,
 #   profiles/cpu-serve-<workload>.pb.gz     and the `-top -cum` listing .txt
 #   profiles/allocs-serve-<workload>.pb.gz  and the alloc_space `-top` listing .txt
+#   profiles/heap-serve-<workload>.pb.gz    and the inuse_space `-top` listing .txt
 #
 #   scripts/profile_bench.sh                     # spark_ils1, seed 4
 #   scripts/profile_bench.sh hdfs_ils1 2
@@ -19,6 +22,7 @@ seed="${2:-4}"
 cpu_secs="${SECONDS_CPU:-12}"
 cpu="profiles/cpu-serve-$workload"
 allocs="profiles/allocs-serve-$workload"
+heap="profiles/heap-serve-$workload"
 
 bash bench/run.sh --workload "$workload" --seed "$seed" --seconds 25 --trace 0 &
 run=$!
@@ -45,8 +49,11 @@ bin=$(readlink "/proc/$pid/exe")
 addr=$(tr '\0' '\n' <"/proc/$pid/cmdline" | grep -A1 -x -e -addr | tail -1)
 curl -fsS -o "$allocs.pb.gz" "http://$addr/debug/pprof/allocs?seconds=$cpu_secs" &
 pull=$!
+(sleep $((cpu_secs - 2)) && curl -fsS -o "$heap.pb.gz" "http://$addr/debug/pprof/heap") &
+pullheap=$!
 curl -fsS -o "$cpu.pb.gz" "http://$addr/debug/pprof/profile?seconds=$cpu_secs"
-wait "$pull"
+wait "$pull" "$pullheap"
 go tool pprof -top -cum -nodecount 40 "$bin" "$cpu.pb.gz" >"$cpu.txt"
 go tool pprof -top -sample_index=alloc_space -nodecount 40 "$bin" "$allocs.pb.gz" >"$allocs.txt"
+go tool pprof -top -sample_index=inuse_space -nodecount 40 "$bin" "$heap.pb.gz" >"$heap.txt"
 wait "$run"
