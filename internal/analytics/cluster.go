@@ -69,16 +69,17 @@ func clusterID(key string) uint64 {
 	return h
 }
 
-// componentsLocked returns the memoized connected components of the
-// shape graph: shapes are nodes, and an edge links two shapes whose
-// IDF-weighted term vectors reach the cosine threshold. Components are
-// a pure function of the edge set, so the clustering is independent of
-// both shape-arrival order and union order — unlike greedy centroid
-// assignment, which the LogCluster baseline can afford but the
-// byte-identity guarantee cannot.
-func (e *Engine) componentsLocked() []int {
-	if !e.compDirty && e.comp != nil {
-		return e.comp
+// componentsLocked brings the cluster memo up to date: the connected
+// components of the shape graph, where shapes are nodes and an edge
+// links two shapes whose IDF-weighted term vectors reach the cosine
+// threshold. Components are a pure function of the edge set, so the
+// clustering is independent of both shape-arrival order and union order
+// — unlike greedy centroid assignment, which the LogCluster baseline can
+// afford but the byte-identity guarantee cannot. Each rebuild also
+// records every shape's label and cluster key, and advances gen.
+func (e *Engine) componentsLocked() {
+	if !e.compDirty && e.label != nil {
+		return
 	}
 	n := len(e.shapeList)
 	idf := make([]float64, len(e.df))
@@ -119,11 +120,39 @@ func (e *Engine) componentsLocked() []int {
 		}
 	}
 	comp := make([]int, n)
+	rootLabel := make([]int, n) // root → its smallest-key member
 	for i := range comp {
 		comp[i] = find(i)
+		rootLabel[i] = -1
 	}
-	e.comp, e.compDirty = comp, false
-	return comp
+	for i, r := range comp {
+		if l := rootLabel[r]; l < 0 || e.shapeList[i].key < e.shapeList[l].key {
+			rootLabel[r] = i
+		}
+	}
+	rootKey := make([]string, n)
+	label := make([]int, n)
+	keys := make([]string, n)
+	e.nclusters = 0
+	for i, r := range comp {
+		if rootKey[r] == "" {
+			rootKey[r] = clusterKey(clusterID(e.shapeList[rootLabel[r]].key))
+			e.nclusters++
+		}
+		label[i], keys[i] = rootLabel[r], rootKey[r]
+	}
+	e.label, e.keys, e.compDirty = label, keys, false
+	e.gen++
+}
+
+// clusterKeyLocked names shape id's cluster in a rollup window: its
+// memoized cluster key, or "other" for the over-cap catch-all (-1).
+// The memo must be current.
+func (e *Engine) clusterKeyLocked(id int) string {
+	if id >= 0 && id < len(e.keys) {
+		return e.keys[id]
+	}
+	return "other"
 }
 
 // Snapshot renders the canonical view: clusters sorted by ID, buckets
@@ -131,42 +160,42 @@ func (e *Engine) componentsLocked() []int {
 func (e *Engine) Snapshot() *Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return &Snapshot{
+		Observed: e.observed,
+		Shapes:   len(e.shapeList),
+		Clusters: e.clustersLocked(),
+		Rollup:   e.rollupLocked(),
+	}
+}
 
-	comp := e.componentsLocked()
-	members := map[int][]*shape{} // component root → member shapes
+// Clusters renders the cluster product alone — the Snapshot's Observed,
+// Shapes and Clusters — without building the rollup.
+func (e *Engine) Clusters() (observed uint64, shapes int, clusters []Cluster) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.observed, len(e.shapeList), e.clustersLocked()
+}
+
+// clustersLocked builds every cluster, sorted by ID.
+func (e *Engine) clustersLocked() []Cluster {
+	e.componentsLocked()
+	members := map[int][]*shape{} // label shape → the component's shapes
 	for i, sp := range e.shapeList {
-		members[comp[i]] = append(members[comp[i]], sp)
+		members[e.label[i]] = append(members[e.label[i]], sp)
 	}
-
-	snap := &Snapshot{Observed: e.observed, Shapes: len(e.shapeList)}
-	shapeCluster := make(map[int]string, len(e.shapeList)) // shape id → cluster key
+	var out []Cluster
 	for _, ms := range members {
-		c := e.buildCluster(ms)
-		for _, sp := range ms {
-			shapeCluster[sp.id] = clusterKey(c.ID)
-		}
-		snap.Clusters = append(snap.Clusters, c)
+		out = append(out, e.buildCluster(ms))
 	}
-	sort.Slice(snap.Clusters, func(i, j int) bool { return snap.Clusters[i].ID < snap.Clusters[j].ID })
-
-	snap.Rollup = e.rollupLocked(func(shapeID int) string {
-		if k, ok := shapeCluster[shapeID]; ok {
-			return k
-		}
-		return "other"
-	})
-	return snap
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // buildCluster aggregates one component's member shapes. Every field is
 // a count, min, or sorted set over member content — order-independent.
+// The cluster memo must be current.
 func (e *Engine) buildCluster(ms []*shape) Cluster {
-	label := ms[0]
-	for _, sp := range ms[1:] {
-		if sp.key < label.key {
-			label = sp
-		}
-	}
+	label := e.shapeList[e.label[ms[0].id]]
 	c := Cluster{
 		ID:     clusterID(label.key),
 		Label:  strings.Join(label.terms, " "),
@@ -250,14 +279,8 @@ func (e *Engine) Explain(a *detect.Anomaly) *AnomalyExplanation {
 	out := &AnomalyExplanation{}
 	terms := a.ClusterTerms()
 	if sp := e.shapes[strings.Join(terms, "\x1f")]; sp != nil {
-		comp := e.componentsLocked()
-		root := comp[sp.id]
-		label := sp
-		for i, other := range e.shapeList {
-			if comp[i] == root && other.key < label.key {
-				label = other
-			}
-		}
+		e.componentsLocked()
+		label := e.shapeList[e.label[sp.id]]
 		out.ClusterID = clusterID(label.key)
 		out.ClusterLabel = strings.Join(label.terms, " ")
 	}
@@ -271,6 +294,7 @@ type Stats struct {
 	Observed        uint64
 	Shapes          int
 	Clusters        int
+	Buckets         int // retained rollup windows
 	TrackedSessions int
 	Localizations   uint64
 	AlertsFiring    int
@@ -283,18 +307,9 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	comp := e.componentsLocked()
-	roots := map[int]bool{}
-	for _, r := range comp {
-		roots[r] = true
-	}
-	starts := make([]int64, 0, len(e.buckets))
-	for s := range e.buckets {
-		starts = append(starts, s)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	e.componentsLocked()
 	firing := 0
-	for _, a := range e.alertsLocked(starts) {
+	for _, a := range e.alertsLocked() {
 		if a.Firing {
 			firing++
 		}
@@ -302,7 +317,8 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Observed:        e.observed,
 		Shapes:          len(e.shapeList),
-		Clusters:        len(roots),
+		Clusters:        e.nclusters,
+		Buckets:         len(e.buckets),
 		TrackedSessions: len(e.sessions),
 		Localizations:   e.localizations,
 		AlertsFiring:    firing,

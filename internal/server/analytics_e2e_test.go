@@ -124,6 +124,7 @@ func TestServeAnalyticsEndpoints(t *testing.T) {
 	for _, name := range []string{
 		"intellogd_analytics_anomalies_observed_total",
 		"intellogd_analytics_clusters",
+		"intellogd_analytics_rollup_buckets",
 		"intellogd_analytics_localizations_total",
 		"intellogd_analytics_alerts_firing",
 		"intellogd_anomaly_log_trimmed_total",
@@ -131,5 +132,8 @@ func TestServeAnalyticsEndpoints(t *testing.T) {
 		if !strings.Contains(metrics, name) {
 			t.Errorf("/metrics lacks %s", name)
 		}
+	}
+	if got := server.ScrapeValue(t, c.Base, `intellogd_analytics_rollup_buckets{tenant="acme"}`); got != float64(len(rollups.Buckets)) {
+		t.Errorf("intellogd_analytics_rollup_buckets = %v, /v1/rollups serves %d windows", got, len(rollups.Buckets))
 	}
 }

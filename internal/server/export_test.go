@@ -3,6 +3,7 @@ package server
 import (
 	"sync"
 
+	"intellog/internal/analytics"
 	"intellog/internal/conformance"
 	"intellog/internal/logging"
 )
@@ -33,4 +34,13 @@ func Memoize[T any](key string, compute func() T) T {
 // Callers must not modify them.
 func CorpusFor(spec conformance.Spec) []logging.Record {
 	return Memoize("corpus/"+spec.Name, func() []logging.Record { return spec.Generate().Records })
+}
+
+// AnalyticsEngine returns the named tenant's analytics engine.
+func (s *Server) AnalyticsEngine(name string) (*analytics.Engine, error) {
+	t, err := s.Tenant(name)
+	if err != nil {
+		return nil, err
+	}
+	return t.engine, nil
 }
