@@ -27,6 +27,14 @@ func cmdAnalyze(args []string) error {
 	top := fs.Int("top", 20, "clusters to print (by anomaly count; <=0 all)")
 	asJSON := fs.Bool("json", false, "dump the full snapshot as JSON")
 	fs.Parse(args)
+	cfg := analytics.Config{
+		Threshold: *threshold,
+		Window:    *window,
+		Budget:    *budget,
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 
 	fw, err := parseFramework(*framework)
 	if err != nil {
@@ -41,11 +49,7 @@ func cmdAnalyze(args []string) error {
 		return err
 	}
 	report := m.Detect(sessions)
-	engine := analytics.NewEngine(analytics.Config{
-		Threshold: *threshold,
-		Window:    *window,
-		Budget:    *budget,
-	}, m.Graph)
+	engine := analytics.NewEngine(cfg, m.Graph)
 	engine.ObserveBatch(report.Anomalies)
 	snap := engine.Snapshot()
 

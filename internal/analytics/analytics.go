@@ -34,7 +34,11 @@
 // an overload mode, not normal operation.
 package analytics
 
-import "time"
+import (
+	"fmt"
+	"math"
+	"time"
+)
 
 // Config bounds and tunes one tenant's analytics engine. Zero values
 // select the defaults noted on each field.
@@ -95,6 +99,25 @@ func (c Config) withDefaults() Config {
 		c.SessionCap = defaultSessionCap
 	}
 	return c
+}
+
+// Validate rejects the settings no default stands in for. A NaN
+// passes the ≤ 0 default checks, and neither a non-finite threshold
+// nor a non-finite budget means anything. A budget so small that a
+// window total divided by it overflows would make burn rates infinite,
+// which no JSON response can carry: every uint64 total over a finite
+// quotient keeps every burn rate finite.
+func (c Config) Validate() error {
+	if math.IsNaN(c.Threshold) || math.IsInf(c.Threshold, 0) {
+		return fmt.Errorf("analytics: cluster threshold %v is not finite", c.Threshold)
+	}
+	if math.IsNaN(c.Budget) || math.IsInf(c.Budget, 0) {
+		return fmt.Errorf("analytics: SLO budget %v is not finite", c.Budget)
+	}
+	if c.Budget > 0 && math.IsInf(math.MaxUint64/c.Budget, 0) {
+		return fmt.Errorf("analytics: SLO budget %v is too small: burn rates would overflow", c.Budget)
+	}
+	return nil
 }
 
 // Burn-rate alert policy, after the common two-window SRE shape: a

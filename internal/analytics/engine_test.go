@@ -3,6 +3,7 @@ package analytics
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -272,5 +273,26 @@ func TestStatsAndMetricsView(t *testing.T) {
 	}
 	if st.Localizations == 0 {
 		t.Fatalf("no localizations counted: %+v", st)
+	}
+}
+
+// TestConfigValidate: non-finite settings and a budget small enough to
+// overflow a burn rate are refused; zero and negative values still
+// select the defaults.
+func TestConfigValidate(t *testing.T) {
+	bad := []Config{
+		{Budget: math.NaN()}, {Budget: math.Inf(1)}, {Budget: math.Inf(-1)}, {Budget: 1e-300},
+		{Threshold: math.NaN()}, {Threshold: math.Inf(1)},
+	}
+	for _, c := range bad {
+		if c.Validate() == nil {
+			t.Errorf("%+v: accepted", c)
+		}
+	}
+	good := []Config{{}, {Budget: -1}, {Budget: 1e-3}, {Budget: math.MaxFloat64}, {Threshold: 0.9}}
+	for _, c := range good {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
 	}
 }
