@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"sort"
 
 	"intellog/internal/core"
@@ -19,6 +21,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the example, writing what it shows to w.
+func run(w io.Writer) error {
 	cluster := sim.NewCluster(26, 11)
 	gen := workload.NewGenerator(cluster, 12)
 	model := core.Train(gen.TrainingCorpus(logging.MapReduce, 12), core.Config{})
@@ -31,7 +41,7 @@ func main() {
 
 	report := model.Detect(job.Sessions)
 	problematic := report.ProblematicSessions()
-	fmt.Printf("step 1: IntelLog reports %d problematic sessions out of %d\n",
+	fmt.Fprintf(w, "step 1: IntelLog reports %d problematic sessions out of %d\n",
 		len(problematic), len(job.Sessions))
 
 	// Step 2: the unexpected messages, transformed to Intel Messages.
@@ -43,23 +53,24 @@ func main() {
 			groups[a.Group] = true
 		}
 	}
-	fmt.Printf("step 2: %d unexpected messages; entity groups involved: %v\n",
+	fmt.Fprintf(w, "step 2: %d unexpected messages; entity groups involved: %v\n",
 		len(unexpected), sortedKeys(groups))
 
 	// Step 3: GroupBy FETCHER — which fetchers hit connection failures?
 	store := intelstore.New(unexpected)
 	byFetcher := store.GroupByIdentifier("FETCHER")
-	fmt.Printf("step 3: GroupBy FETCHER -> %d fetcher groups with failures\n", len(byFetcher))
+	fmt.Fprintf(w, "step 3: GroupBy FETCHER -> %d fetcher groups with failures\n", len(byFetcher))
 
 	// Step 4: GroupBy ADDR — the failures name exactly one host.
 	byAddr := store.GroupByLocality("ADDR")
-	fmt.Printf("step 4: GroupBy ADDR -> %d group(s):\n", len(byAddr))
+	fmt.Fprintf(w, "step 4: GroupBy ADDR -> %d group(s):\n", len(byAddr))
 	for addr, g := range byAddr {
-		fmt.Printf("  %s: %d failure messages\n", addr, g.Len())
+		fmt.Fprintf(w, "  %s: %d failure messages\n", addr, g.Len())
 	}
 	if len(byAddr) == 1 {
-		fmt.Println("\nroot cause isolated: all fetch failures point at a single host.")
+		fmt.Fprintln(w, "\nroot cause isolated: all fetch failures point at a single host.")
 	}
+	return nil
 }
 
 func sortedKeys(m map[string]bool) []string {

@@ -5,7 +5,9 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -17,22 +19,30 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the example, writing what it shows to w.
+func run(w io.Writer) error {
 	cluster := sim.NewCluster(12, 21)
 	gen := workload.NewGenerator(cluster, 22)
 	model := core.Train(gen.TrainingCorpus(logging.Spark, 8), core.Config{})
 
 	job := gen.Submit(logging.Spark, sim.FaultNone)
 	store := intelstore.New(model.Messages(job.Sessions))
-	fmt.Printf("job %q produced %d Intel Messages in %d sessions\n\n",
+	fmt.Fprintf(w, "job %q produced %d Intel Messages in %d sessions\n\n",
 		job.Spec.Name, store.Len(), len(store.Sessions()))
 
 	// Query 1: everything the 'block' component did, per block manager.
 	blocks := store.WithEntity("block manager")
-	fmt.Printf("messages about the block manager: %d\n", blocks.Len())
+	fmt.Fprintf(w, "messages about the block manager: %d\n", blocks.Len())
 
 	// Query 2: task activity per session (the per-container task counts of
 	// case study 3).
-	fmt.Println("\ntask messages per session:")
+	fmt.Fprintln(w, "\ntask messages per session:")
 	perSession := store.WithEntity("task").GroupBySession()
 	ids := make([]string, 0, len(perSession))
 	for id := range perSession {
@@ -40,33 +50,25 @@ func main() {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		fmt.Printf("  %s: %d\n", id, perSession[id].Len())
+		fmt.Fprintf(w, "  %s: %d\n", id, perSession[id].Len())
 	}
 
 	// Query 3: TID cardinality — how many distinct tasks ran?
 	byTID := store.GroupByIdentifier("TID")
-	fmt.Printf("\ndistinct TIDs: %d\n", len(byTID))
+	fmt.Fprintf(w, "\ndistinct TIDs: %d\n", len(byTID))
 
 	// Query 4: export one session's messages as JSON (truncated here).
 	first := store.Sessions()[0]
-	fmt.Printf("\nJSON export of session %s (first 600 bytes):\n", first)
-	exportTruncated(store.WithSession(first))
+	fmt.Fprintf(w, "\nJSON export of session %s (first 600 bytes):\n", first)
+	return exportTruncated(w, store.WithSession(first))
 }
 
-func exportTruncated(s *intelstore.Store) {
-	pr, pw, err := os.Pipe()
-	if err != nil {
-		fmt.Println("pipe:", err)
-		return
+// exportTruncated writes the first 600 bytes of s's JSON export to w.
+func exportTruncated(w io.Writer, s *intelstore.Store) error {
+	var buf bytes.Buffer
+	if err := s.ExportJSON(&buf); err != nil {
+		return fmt.Errorf("export: %w", err)
 	}
-	go func() {
-		defer pw.Close()
-		if err := s.ExportJSON(pw); err != nil {
-			fmt.Fprintln(os.Stderr, "export:", err)
-		}
-	}()
-	buf := make([]byte, 600)
-	n, _ := pr.Read(buf)
-	pr.Close()
-	fmt.Println(string(buf[:n]) + "…")
+	_, err := fmt.Fprintln(w, string(buf.Bytes()[:min(buf.Len(), 600)])+"…")
+	return err
 }

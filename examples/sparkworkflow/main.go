@@ -6,6 +6,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"sort"
 
 	"intellog/internal/baselines/stitch"
@@ -16,14 +18,22 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the example, writing what it shows to w.
+func run(w io.Writer) error {
 	cluster := sim.NewCluster(26, 7)
 	gen := workload.NewGenerator(cluster, 8)
 	model := core.Train(gen.TrainingCorpus(logging.Spark, 15), core.Config{})
 
-	fmt.Println("=== Spark HW-graph (hierarchy; * marks critical groups) ===")
-	fmt.Print(model.Graph.Render())
+	fmt.Fprintln(w, "=== Spark HW-graph (hierarchy; * marks critical groups) ===")
+	fmt.Fprint(w, model.Graph.Render())
 
-	fmt.Println("\n=== subroutines of the critical groups ===")
+	fmt.Fprintln(w, "\n=== subroutines of the critical groups ===")
 	for _, name := range model.Graph.CriticalGroups() {
 		node := model.Graph.Nodes[name]
 		sigs := make([]string, 0, len(node.Subroutines))
@@ -37,7 +47,7 @@ func main() {
 			if label == "" {
 				label = "NONE"
 			}
-			fmt.Printf("%s / %s:\n", name, label)
+			fmt.Fprintf(w, "%s / %s:\n", name, label)
 			for _, kid := range sub.Keys {
 				ik := model.Keys[kid]
 				marker := " "
@@ -48,15 +58,16 @@ func main() {
 				for _, op := range ik.Operations {
 					ops += " " + op.String()
 				}
-				fmt.Printf("  %s %s  ->%s\n", marker, ik.String(), ops)
+				fmt.Fprintf(w, "  %s %s  ->%s\n", marker, ik.String(), ops)
 			}
 		}
 	}
 
 	// The Stitch comparison: identifiers only, no semantics (§6.3).
-	fmt.Println("\n=== Stitch S3 graph of the same logs (identifier relations only) ===")
+	fmt.Fprintln(w, "\n=== Stitch S3 graph of the same logs (identifier relations only) ===")
 	job := gen.Submit(logging.Spark, sim.FaultNone)
-	fmt.Print(stitch.Build(model.Messages(job.Sessions)).Render())
-	fmt.Println("\nNote: the S3 graph names identifier types only; the HW-graph above")
-	fmt.Println("additionally carries entities, operations and critical-key subroutines.")
+	fmt.Fprint(w, stitch.Build(model.Messages(job.Sessions)).Render())
+	fmt.Fprintln(w, "\nNote: the S3 graph names identifier types only; the HW-graph above")
+	fmt.Fprintln(w, "additionally carries entities, operations and critical-key subroutines.")
+	return nil
 }

@@ -145,3 +145,32 @@ func BenchmarkConformanceStreamDetect(b *testing.B) {
 		"allocs_per_record": allocsPerRecord,
 	})
 }
+
+// BenchmarkConformanceConsumeBatch measures the two-stage streaming path
+// — parallel resolve, ordered apply — over the same record stream in
+// 512-record batches: the path every served batch, WAL replay and the
+// oracle's batched leg take.
+func BenchmarkConformanceConsumeBatch(b *testing.B) {
+	c, d := benchSetup(b)
+	const batch = 512
+	b.ReportAllocs()
+	b.ResetTimer()
+	ac := startAllocCount()
+	for i := 0; i < b.N; i++ {
+		sd := detect.NewStream(d, detect.StreamConfig{})
+		for recs := c.Records; len(recs) > 0; {
+			n := min(batch, len(recs))
+			sd.ConsumeBatch(recs[:n], 0)
+			recs = recs[n:]
+		}
+		sd.Flush()
+	}
+	allocsPerRecord := ac.perRecord(len(c.Records) * b.N)
+	logsPerSec := float64(len(c.Records)*b.N) / b.Elapsed().Seconds()
+	b.ReportMetric(logsPerSec, "logs/sec")
+	writeDetectBenchJSON(b, "BenchmarkConformanceConsumeBatch", map[string]float64{
+		"logs_per_sec":      logsPerSec,
+		"logs_per_op":       float64(len(c.Records)),
+		"allocs_per_record": allocsPerRecord,
+	})
+}

@@ -144,7 +144,8 @@ func ResumePath(m *core.Model, recs []logging.Record, cut int) (*detect.Report, 
 }
 
 // OracleBatchShards are the worker-shard counts the parallel batch
-// oracle exercises: fixed small counts plus the machine's CPU width.
+// oracle exercises: fixed small counts plus par.Workers(), the process's
+// GOMAXPROCS.
 // Every count spawns real goroutines (see par.ForEach), so the ordered
 // merge is exercised under genuine concurrency even on small machines.
 func OracleBatchShards() []int {

@@ -12,6 +12,7 @@ import (
 	"intellog/internal/hwgraph"
 	"intellog/internal/logging"
 	"intellog/internal/nlp"
+	"intellog/internal/par"
 	"intellog/internal/spell"
 )
 
@@ -49,31 +50,44 @@ type Model struct {
 }
 
 // Train runs the full training pipeline over normal-execution sessions.
+// Every stage whose result does not depend on record order runs on
+// par.Workers() goroutines; Spell's Consume and the per-session
+// bookkeeping stay in record order, so the model does not depend on
+// scheduling.
 func Train(sessions []*logging.Session, cfg Config) *Model {
 	parser := spell.NewParser(cfg.SpellThreshold)
+	workers := par.Workers()
 
 	// Stage 1: stream every message through Spell. Renderings repeat
-	// heavily, so the token split is memoized by raw text (Consume copies
-	// what it keeps, making the shared slices safe). The memo keeps the
-	// full token split so stage 3 never tokenizes the same rendering
-	// twice.
-	type memoEntry struct {
-		toks  []nlp.Token
-		texts []string
-		proto *extract.Message // stage 3's Algorithm-2 prototype, if NL
-	}
-	memo := make(map[string]*memoEntry, 1024)
+	// heavily, so each distinct rendering is indexed in first-seen order
+	// and tokenized once, in parallel; every record then refers to its
+	// rendering by index. Consume stays sequential: Spell's key
+	// refinement depends on record order, and a later Consume can move a
+	// rendering to another key, so repeats are consumed too (Consume
+	// copies what it keeps, making the shared slices safe).
+	index := make(map[string]int32, 1024)
+	var distinct []string
+	var recs []int32 // per record, in order: its rendering's index
 	for _, s := range sessions {
 		for i := range s.Records {
 			msg := s.Records[i].Message
-			e, ok := memo[msg]
+			j, ok := index[msg]
 			if !ok {
-				toks := nlp.Tokenize(msg)
-				e = &memoEntry{toks: toks, texts: nlp.Texts(toks)}
-				memo[msg] = e
+				j = int32(len(distinct))
+				index[msg] = j
+				distinct = append(distinct, msg)
 			}
-			parser.Consume(e.texts)
+			recs = append(recs, j)
 		}
+	}
+	toks := make([][]nlp.Token, len(distinct))
+	texts := make([][]string, len(distinct))
+	stride(len(distinct), workers, func(i int) {
+		toks[i] = nlp.Tokenize(distinct[i])
+		texts[i] = nlp.Texts(toks[i])
+	})
+	for _, j := range recs {
+		parser.Consume(texts[j])
 	}
 
 	// Stage 2: build Intel Keys (independent per key — parallel).
@@ -84,42 +98,56 @@ func Train(sessions []*logging.Session, cfg Config) *Model {
 	}
 
 	// Stage 3: HW-graph modeling. The parser is frozen after stage 1, so
-	// every distinct rendering is looked up and bound exactly once, into
-	// the stage-1 memo and the lookup cache detection starts from. The
-	// builder reads only key IDs and identifier caches, so it folds the
-	// shared Algorithm-2 prototypes, session by session in input order.
-	builder := hwgraph.NewBuilder(keys)
-	cache := spell.NewLookupCache(0)
-	for msg, e := range memo {
-		k := parser.Lookup(e.texts)
+	// every distinct rendering is looked up and bound exactly once, in
+	// parallel, into the lookup cache detection starts from. An
+	// unmatched rendering's memo carries its bound ad-hoc extraction,
+	// which needs the detector's group table: the detector publishes it
+	// on first sight. The builder reads only key IDs and identifier
+	// caches, so it folds the shared Algorithm-2 prototypes.
+	matched := make([]*spell.Key, len(distinct))
+	protos := make([]*extract.Message, len(distinct))
+	stride(len(distinct), workers, func(i int) {
+		k := parser.Lookup(texts[i])
 		if k == nil {
-			// An unmatched rendering's memo carries its bound ad-hoc
-			// extraction, which needs the detector's group table: the
-			// detector publishes it on first sight.
-			continue
+			return
 		}
-		cl := &extract.CachedLookup{}
+		matched[i] = k
 		if ik := keyIndex[k.ID]; ik != nil && ik.NaturalLanguage {
-			cl.Proto = extract.BindProto(ik, e.toks, msg)
-			e.proto = cl.Proto
+			protos[i] = extract.BindProto(ik, toks[i], distinct[i])
 		}
-		cache.AddAux(msg, k, cl)
-	}
+	})
+	// The lookup cache is filled in first-seen order, so its contents do
+	// not depend on scheduling, on its own goroutine beside the per-session
+	// bookkeeping and the group fold, which never read it.
+	cache := spell.NewLookupCache(0)
+	filled := make(chan struct{})
+	go func() {
+		defer close(filled)
+		for i, k := range matched {
+			if k != nil {
+				cache.AddAux(distinct[i], k, &extract.CachedLookup{Proto: protos[i]})
+			}
+		}
+	}()
+	builder := hwgraph.NewBuilder(keys)
 	var msgs []*extract.Message
 	for _, s := range sessions {
 		msgs = msgs[:0]
-		for i := range s.Records {
-			if p := memo[s.Records[i].Message].proto; p != nil {
+		for _, j := range recs[:len(s.Records)] {
+			if p := protos[j]; p != nil {
 				msgs = append(msgs, p)
 			}
 		}
+		recs = recs[len(s.Records):]
 		builder.AddSession(msgs)
 	}
 
+	graph := builder.Graph()
+	<-filled
 	return &Model{
 		Parser:    parser,
 		Keys:      keyIndex,
-		Graph:     builder.Graph(),
+		Graph:     graph,
 		KeyGroups: builder.KeyGroups,
 		cfg:       cfg,
 		lookup:    cache,

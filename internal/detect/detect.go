@@ -402,8 +402,8 @@ func (d *Detector) detectSession(s *logging.Session, scr *sessionScratch) []Anom
 // checks sessions w, w+shards, w+2·shards, … with worker-local scratch,
 // and the merge appends per-session findings in input order — so the
 // report is byte-identical at every shard count (the conformance oracle
-// proves serial == parallel(2, 8, NumCPU) on every corpus). shards ≤ 0
-// uses one shard per CPU. Each shard is a real goroutine even beyond the
+// proves serial == parallel(2, 8, par.Workers()) on every corpus).
+// shards ≤ 0 uses par.Workers() shards. Each shard is a real goroutine even beyond the
 // CPU count, so oversubscribed counts still exercise the concurrent paths.
 func (d *Detector) DetectParallel(sessions []*logging.Session, shards int) *Report {
 	if shards <= 0 {

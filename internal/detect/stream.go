@@ -241,8 +241,8 @@ func (s *StreamDetector) Consume(rec logging.Record) []Anomaly {
 // stage runs strictly in input order on the calling goroutine. Because
 // resolution is a pure function of the raw text under a fixed model, the
 // returned anomalies are identical to calling Consume once per record in
-// order — only the wall-clock changes. workers ≤ 0 sizes the pool to the
-// machine.
+// order — only the wall-clock changes. workers ≤ 0 sizes the pool to
+// par.Workers().
 func (s *StreamDetector) ConsumeBatch(recs []logging.Record, workers int) []Anomaly {
 	if len(recs) == 0 {
 		return nil

@@ -3,6 +3,7 @@ package hwgraph
 import (
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -376,4 +377,33 @@ func containsStr(list []string, s string) bool {
 		}
 	}
 	return false
+}
+
+// TestFoldSharesMessagesSafely: a message whose key belongs to several
+// groups is read by several fold workers at once. Its identifier views
+// are cached lazily, so AddSession must fill the caches before Graph
+// folds in parallel; run under -race, a fold that filled them itself
+// would race.
+func TestFoldSharesMessagesSafely(t *testing.T) {
+	b := NewBuilder([]*extract.IntelKey{
+		ikey(0, "task", "executor"),
+		ikey(1, "task", "executor", "shuffle"),
+		ikey(2, "shuffle"),
+	})
+	if len(b.KeyGroups[1]) < 2 {
+		t.Fatalf("key 1 belongs to %v, want several groups", b.KeyGroups[1])
+	}
+	const sessions = 2000
+	for s := 0; s < sessions; s++ {
+		id := strconv.Itoa(s)
+		b.AddSession([]*extract.Message{
+			msg(0, id1("TASK", id)),
+			msg(1, map[string][]string{"TASK": {id}, "EXEC": {"e" + id}}),
+			msg(2, id1("SHUF", id)),
+		})
+	}
+	g := b.GraphFoldedIn(func([]int) {}, 4)
+	if g.TotalSessions != sessions {
+		t.Fatalf("TotalSessions = %d, want %d", g.TotalSessions, sessions)
+	}
 }

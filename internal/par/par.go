@@ -1,6 +1,7 @@
 // Package par provides the tiny worker-pool primitive shared by the
-// embarrassingly parallel pipeline stages (Intel Key building,
-// per-session binding, per-session detection, batch-detect sharding).
+// embarrassingly parallel pipeline stages (training's tokenize, bind,
+// Intel Key building and group folds, the streaming resolve fan-out,
+// batch-detect sharding).
 // It replaces three copy-pasted pool loops whose unbuffered work
 // channels made the producer block once per item.
 package par
@@ -10,9 +11,11 @@ import (
 	"sync"
 )
 
-// Workers is the default pool size: one worker per CPU.
+// Workers is the default pool size: one worker per P, so a process
+// capped by GOMAXPROCS (or runtime.GOMAXPROCS) starts no more workers
+// than can run at once.
 func Workers() int {
-	n := runtime.NumCPU()
+	n := runtime.GOMAXPROCS(0)
 	if n < 1 {
 		n = 1
 	}

@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+func TestWorkersFollowsGOMAXPROCS(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	if got := Workers(); got != 1 {
+		t.Fatalf("Workers() = %d at GOMAXPROCS=1, want 1", got)
+	}
+	runtime.GOMAXPROCS(3)
+	if got := Workers(); got != 3 {
+		t.Fatalf("Workers() = %d at GOMAXPROCS=3, want 3", got)
+	}
+}
+
 func TestForEachZeroItems(t *testing.T) {
 	called := false
 	ForEach(0, 4, func(int) { called = true })
