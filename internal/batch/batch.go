@@ -1,22 +1,22 @@
 // Package batch is the pooled record-batch lifecycle of the serving hot
-// path. The ingest wires (NDJSON and ILS1) decode thousands of batches
-// per second, and before this package each batch was a freshly allocated
-// []logging.Record that died the moment the detector consumed it —
-// steady-state serving spent ~30% of its CPU in the collector walking
-// that churn. A Batch instead rents its backing array from a Pool and is
-// handed off, owner to owner, along the whole path:
+// path. The ingest wires (NDJSON and ILS1) admit thousands of batches
+// per second, and before this package each batch was freshly allocated
+// and died the moment the detector consumed it — steady-state serving
+// spent ~30% of its CPU in the collector walking that churn. A Batch
+// instead rents its buffer from a Pool and is handed off, owner to
+// owner, along the whole path:
 //
-//	decode → admission → WAL append → queue placement → ordered apply → Release
+//	validate → admission → WAL append → queue placement → decode + resolve + apply → Release
 //
 // exactly one goroutine owns a live Batch at any moment, and the final
 // owner returns it to the pool for the next fill.
 //
-// The backing store is deliberately pointer-sparse: records are stored
-// by value, and callers resolve strings through the model's interner /
-// lookup cache before appending, so a batch holds canonical string
-// references rather than private copies. Releasing does not zero the
-// array — the strings a parked batch pins are interned and shared with
-// the model anyway, and the next fill overwrites the headers.
+// A batch holds its records encoded, as the concatenated
+// wal.AppendRecord encodings the ILS1 wire and the WAL entry already
+// use: the ingest edge copies (or, for NDJSON, encodes) the bytes once,
+// the WAL appends them as they are, and the tenant worker decodes them
+// once, off the ack path. The buffer is pointer-free, so a parked batch
+// costs the collector nothing to scan.
 //
 // The ownership contract is enforced, not documented-and-hoped:
 // releasing a batch twice panics (atomically checked, so the panic fires
@@ -28,31 +28,34 @@ package batch
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"intellog/internal/logging"
+	"intellog/internal/wal"
 )
 
-// DefaultRecordCap is the backing-array capacity of a freshly allocated
-// Batch — sized for the replay client's default 256–512-record batches
-// so the first fill takes no growth step. Grow handles bigger batches.
-const DefaultRecordCap = 512
+// DefaultBodyCap is the buffer capacity of a freshly allocated Batch —
+// sized for the replay client's 512-record batches of ≈ 100-byte
+// encoded records, so the first fill takes no growth step. Grow handles
+// bigger batches.
+const DefaultBodyCap = 64 << 10
 
-// maxParked bounds the freelist. maxParked × DefaultRecordCap record
-// headers is the pool's worst-case parked footprint (≈ 17 MB of 128-byte
-// records); beyond it a released batch is surrendered to the GC instead
-// of parked.
+// maxParked bounds the freelist. maxParked × DefaultBodyCap is the
+// pool's worst-case parked footprint (16 MiB); beyond it a released
+// batch is surrendered to the GC instead of parked.
 const maxParked = 256
 
-// Batch is one pooled record batch. Recs is the live fill — callers
-// append to it directly (or through Append) and may re-slice it in
-// place, e.g. to filter invalid records out before hand-off. The batch
-// is single-owner: whoever holds it may touch Recs, and exactly one
+// Batch is one pooled record batch: N records, encoded back to back in
+// Body in wal.AppendRecord's layout. Callers append to Body directly
+// (bumping N) or through Append, and may rebuild it in place. The batch
+// is single-owner: whoever holds it may touch Body, and exactly one
 // owner must eventually call Release, after which the batch (and any
-// view of Recs) must not be touched again.
+// view of Body) must not be touched again.
 type Batch struct {
-	Recs []logging.Record
+	Body []byte
+	N    int
 
 	pool *Pool
 	// live is 1 between Get and Release; the CAS in Release makes a
@@ -84,25 +87,25 @@ type Pool struct {
 	free []*Batch
 
 	// Accounting, all under mu.
-	hits        uint64              // Get served from the freelist
-	misses      uint64              // Get allocated fresh (freelist empty)
-	outstanding int64               // live batches (Get minus Release)
-	leaked      uint64              // dropped-without-Release batches (leak-detect mode)
-	leakReport  func(recordCap int) // test hook, set by DetectLeaks
+	hits        uint64            // Get served from the freelist
+	misses      uint64            // Get allocated fresh (freelist empty)
+	outstanding int64             // live batches (Get minus Release)
+	leaked      uint64            // dropped-without-Release batches (leak-detect mode)
+	leakReport  func(bodyCap int) // test hook, set by DetectLeaks
 
-	recordCap int
+	bodyCap int
 }
 
-// NewPool builds a pool whose fresh batches start with capacity
-// recordCap (0 = DefaultRecordCap).
-func NewPool(recordCap int) *Pool {
-	if recordCap <= 0 {
-		recordCap = DefaultRecordCap
+// NewPool builds a pool whose fresh batches start with a bodyCap-byte
+// buffer (0 = DefaultBodyCap).
+func NewPool(bodyCap int) *Pool {
+	if bodyCap <= 0 {
+		bodyCap = DefaultBodyCap
 	}
-	return &Pool{recordCap: recordCap}
+	return &Pool{bodyCap: bodyCap}
 }
 
-// Get rents a batch with len(Recs) == 0. The caller owns it until it
+// Get rents an empty batch. The caller owns it until it
 // either calls Release or hands ownership to exactly one next owner.
 func (p *Pool) Get() *Batch {
 	var b *Batch
@@ -119,7 +122,7 @@ func (p *Pool) Get() *Batch {
 	report := p.leakReport
 	p.mu.Unlock()
 	if b == nil {
-		b = &Batch{Recs: make([]logging.Record, 0, p.recordCap), pool: p}
+		b = &Batch{Body: make([]byte, 0, p.bodyCap), pool: p}
 	}
 	b.live.Store(1)
 	if report != nil {
@@ -129,34 +132,32 @@ func (p *Pool) Get() *Batch {
 }
 
 // Len returns the number of records in the fill.
-func (b *Batch) Len() int { return len(b.Recs) }
+func (b *Batch) Len() int { return b.N }
 
-// Append adds one record to the fill.
-func (b *Batch) Append(rec logging.Record) { b.Recs = append(b.Recs, rec) }
+// Append encodes one record onto the fill.
+func (b *Batch) Append(rec logging.Record) {
+	b.Body = wal.AppendRecord(b.Body, &rec)
+	b.N++
+}
 
-// Grow ensures capacity for at least n total records, so a caller with a
-// size hint (Content-Length, frame record count) pays at most one growth
-// step instead of log₂(n) of them.
+// Grow ensures room for at least n more bytes, so a caller with a size
+// hint (Content-Length, frame length) pays at most one growth step
+// instead of log₂(n) of them.
 func (b *Batch) Grow(n int) {
-	if n <= cap(b.Recs) {
-		return
-	}
-	grown := make([]logging.Record, len(b.Recs), n)
-	copy(grown, b.Recs)
-	b.Recs = grown
+	b.Body = slices.Grow(b.Body, n)
 }
 
 // Release returns the batch to its pool. It must be called exactly once
 // per Get, by whichever owner the batch ended up with; a second call
-// panics. After Release the batch and every view of Recs are invalid.
+// panics. After Release the batch and every view of Body are invalid.
 func (b *Batch) Release() {
 	if !b.live.CompareAndSwap(1, 0) {
-		panic(fmt.Sprintf("batch: double release of %d-cap batch", cap(b.Recs)))
+		panic(fmt.Sprintf("batch: double release of %d-byte batch", cap(b.Body)))
 	}
 	if b.canary != nil {
 		runtime.SetFinalizer(b.canary, nil)
 	}
-	b.Recs = b.Recs[:0]
+	b.Body, b.N = b.Body[:0], 0
 	p := b.pool
 	p.mu.Lock()
 	p.outstanding--
@@ -194,7 +195,7 @@ func (p *Pool) Stats() Stats {
 // nil). Test-only — the canary costs two SetFinalizer calls per batch
 // lifecycle, which the hot path must not pay; production leak visibility
 // is the Outstanding gauge instead.
-func (p *Pool) DetectLeaks(report func(recordCap int)) {
+func (p *Pool) DetectLeaks(report func(bodyCap int)) {
 	p.mu.Lock()
 	if report == nil {
 		report = func(int) {}
@@ -208,7 +209,7 @@ func (p *Pool) armCanary(b *Batch) {
 	if b.canary == nil {
 		b.canary = &leakCanary{pool: p}
 	}
-	b.canary.capa = cap(b.Recs)
+	b.canary.capa = cap(b.Body)
 	runtime.SetFinalizer(b.canary, func(c *leakCanary) {
 		c.pool.mu.Lock()
 		c.pool.leaked++

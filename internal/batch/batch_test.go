@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"intellog/internal/logging"
+	"intellog/internal/wal"
 )
 
 func TestGetReleaseRecycles(t *testing.T) {
@@ -47,17 +48,18 @@ func TestGrow(t *testing.T) {
 	defer b.Release()
 	b.Append(logging.Record{Message: "keep"})
 	b.Grow(1000)
-	if cap(b.Recs) < 1000 {
-		t.Fatalf("cap = %d after Grow(1000)", cap(b.Recs))
+	if room := cap(b.Body) - len(b.Body); room < 1000 {
+		t.Fatalf("room = %d after Grow(1000)", room)
 	}
-	if b.Len() != 1 || b.Recs[0].Message != "keep" {
-		t.Fatalf("Grow lost the fill: %+v", b.Recs)
+	rec, rest, err := wal.DecodeRecord(b.Body)
+	if b.Len() != 1 || err != nil || len(rest) != 0 || rec.Message != "keep" {
+		t.Fatalf("Grow lost the fill: %d records, %+v, %v", b.Len(), rec, err)
 	}
-	// Growing to a smaller size is a no-op.
-	prev := cap(b.Recs)
+	// Growing within the room already there is a no-op.
+	prev := cap(b.Body)
 	b.Grow(10)
-	if cap(b.Recs) != prev {
-		t.Fatalf("Grow(10) changed cap %d -> %d", prev, cap(b.Recs))
+	if cap(b.Body) != prev {
+		t.Fatalf("Grow(10) changed cap %d -> %d", prev, cap(b.Body))
 	}
 }
 
@@ -80,7 +82,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 func TestLeakDetectorCatchesDroppedBatch(t *testing.T) {
 	p := NewPool(4)
 	leakCh := make(chan int, 1)
-	p.DetectLeaks(func(recordCap int) { leakCh <- recordCap })
+	p.DetectLeaks(func(bodyCap int) { leakCh <- bodyCap })
 
 	// Acquire a batch in a scope the compiler can prove dead, then drop
 	// it on the floor without Release.

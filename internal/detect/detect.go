@@ -288,15 +288,23 @@ func NewDetector(p *spell.Parser, keys map[int]*extract.IntelKey, keyGroups map[
 	}
 }
 
-// lookupRecord is the one resolve path: it resolves a record's Spell key
-// through the cache, memoizing the Algorithm-2 prototype per raw message,
-// so a repeat rendering costs a cache probe. A miss tokenizes into scr's
-// buffers. The returned memo is shared and read-only.
+// lookupRecord resolves a record's Spell key through the cache,
+// memoizing the Algorithm-2 prototype per raw message, so a repeat
+// rendering costs a cache probe. A miss resolves through resolveMiss.
+// The returned memo is shared and read-only.
 func (d *Detector) lookupRecord(rec *logging.Record, scr *sessionScratch) (key *spell.Key, cl *extract.CachedLookup) {
 	if k, aux, hit := d.Cache.GetAux(rec.Message); hit {
 		return k, aux.(*extract.CachedLookup) // every publisher stores one
 	}
-	scr.toks = nlp.AppendTokens(scr.toks[:0], rec.Message)
+	return d.resolveMiss(rec.Message, scr)
+}
+
+// resolveMiss is the one resolve path of a rendering the cache does not
+// hold: tokenize into scr's buffers, Spell lookup, bind the prototype
+// (or the ad-hoc extraction of an unmatched message), and publish the
+// memo to the cache.
+func (d *Detector) resolveMiss(msg string, scr *sessionScratch) (key *spell.Key, cl *extract.CachedLookup) {
+	scr.toks = nlp.AppendTokens(scr.toks[:0], msg)
 	scr.texts = nlp.AppendTexts(scr.texts[:0], scr.toks)
 	key = d.Parser.Lookup(scr.texts)
 	cl = &extract.CachedLookup{}
@@ -305,14 +313,14 @@ func (d *Detector) lookupRecord(rec *logging.Record, scr *sessionScratch) (key *
 		// anomaly, so bind its ad-hoc extraction once here instead of once
 		// per record in unexpected (which used to dominate the allocation
 		// profile on anomaly-heavy streams).
-		d.buildAdhoc(rec.Message, scr.toks, cl)
+		d.buildAdhoc(msg, scr.toks, cl)
 	} else if ik := d.Keys[key.ID]; ik != nil && ik.NaturalLanguage {
-		cl.Proto = extract.BindProto(ik, scr.toks, rec.Message)
+		cl.Proto = extract.BindProto(ik, scr.toks, msg)
 	}
 	if cap(scr.toks) > 1<<10 {
 		scr.toks, scr.texts = nil, nil // one huge record must not pin its split
 	}
-	d.Cache.AddAux(rec.Message, key, cl)
+	d.Cache.AddAux(msg, key, cl)
 	return key, cl
 }
 

@@ -10,6 +10,7 @@ import (
 	"intellog/internal/logging"
 	"intellog/internal/nlp"
 	"intellog/internal/spell"
+	"intellog/internal/wal"
 )
 
 // hdfsRendering is an HDFS datanode line whose block ID, size and source
@@ -63,10 +64,12 @@ func TestColdMissAllocs(t *testing.T) {
 }
 
 // TestConsumeBatchCountsEveryLookup: the resolve stage probes the lookup
-// cache once per record, so its hit and miss counters (what
+// cache exactly once per record, so its hit and miss counters (what
 // spell.cache_hit_share is computed from) add up to the records consumed
-// at any worker count. With one worker every distinct rendering misses
-// exactly once.
+// at any worker count — through ConsumeBatch, and through ConsumeEncoded,
+// the entry point of both served wires (ILS1 and NDJSON batches reach the
+// worker as the same encoding) and of WAL replay. With one worker every
+// distinct rendering misses exactly once.
 func TestConsumeBatchCountsEveryLookup(t *testing.T) {
 	renderings := []string{
 		"Registering worker node_07", "Registered worker node_07",
@@ -79,18 +82,33 @@ func TestConsumeBatchCountsEveryLookup(t *testing.T) {
 	for i := range recs {
 		recs[i] = streamRec(fmt.Sprintf("c%d", i%7), renderings[i%len(renderings)], t0.Add(time.Duration(i)*time.Millisecond))
 	}
-	for _, workers := range []int{1, 2} {
-		d := fixture(t)
-		s := NewStream(d, StreamConfig{})
-		for lo := 0; lo < n; lo += 64 {
-			s.ConsumeBatch(recs[lo:min(lo+64, n)], workers)
-		}
-		hits, misses := d.Cache.Stats()
-		if hits+misses != n {
-			t.Errorf("workers %d: hits %d + misses %d = %d lookups, want %d", workers, hits, misses, hits+misses, n)
-		}
-		if workers == 1 && misses != uint64(len(renderings)) {
-			t.Errorf("workers 1: %d misses, want one per distinct rendering (%d)", misses, len(renderings))
+	for _, encoded := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			d := fixture(t)
+			s := NewStream(d, StreamConfig{})
+			var dec Decoder
+			for lo := 0; lo < n; lo += 64 {
+				batch := recs[lo:min(lo+64, n)]
+				if !encoded {
+					s.ConsumeBatch(batch, workers)
+					continue
+				}
+				var body []byte
+				for i := range batch {
+					body = wal.AppendRecord(body, &batch[i])
+				}
+				if err := dec.decode(len(batch), body); err != nil {
+					t.Fatal(err)
+				}
+				s.consumeStaged(dec.recs, dec.msgs, workers)
+			}
+			hits, misses := d.Cache.Stats()
+			if hits+misses != n {
+				t.Errorf("encoded %v, workers %d: hits %d + misses %d = %d probes, want %d", encoded, workers, hits, misses, hits+misses, n)
+			}
+			if workers == 1 && misses != uint64(len(renderings)) {
+				t.Errorf("encoded %v, workers 1: %d misses, want one per distinct rendering (%d)", encoded, misses, len(renderings))
+			}
 		}
 	}
 }

@@ -236,22 +236,42 @@ func (s *StreamDetector) Consume(rec logging.Record) []Anomaly {
 }
 
 // ConsumeBatch processes a slice of records with the pipeline split into
-// two stages: the resolution stage (tokenize, Spell lookup, prototype
-// bind — the CPU-heavy part) fans out across a worker pool, and the apply
-// stage runs strictly in input order on the calling goroutine. Because
-// resolution is a pure function of the raw text under a fixed model, the
-// returned anomalies are identical to calling Consume once per record in
-// order — only the wall-clock changes. workers ≤ 0 sizes the pool to
-// par.Workers().
+// two stages: the resolution stage (cache probe, and on a miss tokenize,
+// Spell lookup, prototype bind — the CPU-heavy part) fans out across a
+// worker pool, and the apply stage runs strictly in input order on the
+// calling goroutine. Because resolution is a pure function of the raw
+// text under a fixed model, the returned anomalies are identical to
+// calling Consume once per record in order — only the wall-clock
+// changes. workers ≤ 0 sizes the pool to par.Workers().
 func (s *StreamDetector) ConsumeBatch(recs []logging.Record, workers int) []Anomaly {
+	return s.consumeStaged(recs, nil, workers)
+}
+
+// ConsumeEncoded is ConsumeBatch over count records given as their
+// concatenated wal.AppendRecord encodings — a served batch as the ingest
+// edge admitted it, or a WAL entry at replay. dec decodes the records
+// into its own scratch (so it must not be shared between goroutines),
+// and each message is probed against the lookup cache by its bytes,
+// once: a hit is the record's resolve and takes the cache's canonical
+// string, a miss copies the string and joins the resolve fan-out. The
+// records keep no view of body, which the caller may recycle on return.
+func (s *StreamDetector) ConsumeEncoded(dec *Decoder, count int, body []byte) ([]Anomaly, error) {
+	if err := dec.decode(count, body); err != nil {
+		return nil, err
+	}
+	return s.consumeStaged(dec.recs, dec.msgs, 0), nil
+}
+
+// consumeStaged runs the resolve and apply stages over recs. msgs, when
+// non-nil, holds each record's message bytes, and recs[i].Message is
+// filled from the probe of msgs[i]; nil means the messages are already
+// strings.
+func (s *StreamDetector) consumeStaged(recs []logging.Record, msgs [][]byte, workers int) []Anomaly {
 	if len(recs) == 0 {
 		return nil
 	}
 	if workers <= 0 {
 		workers = par.Workers()
-	}
-	if workers > len(recs) {
-		workers = len(recs)
 	}
 	rp := resolvedScratch.Get().(*[]resolvedRec)
 	resolved := *rp
@@ -260,15 +280,7 @@ func (s *StreamDetector) ConsumeBatch(recs []logging.Record, workers int) []Anom
 	} else {
 		resolved = resolved[:len(recs)]
 	}
-	// Stride the batch across workers (not one task per record) so each
-	// worker takes one pooled scratch for the token split of its misses.
-	par.ForEach(workers, workers, func(w int) {
-		scr := s.d.getScratch()
-		defer s.d.putScratch(scr)
-		for i := w; i < len(recs); i += workers {
-			resolved[i].key, resolved[i].cl = s.d.lookupRecord(&recs[i], scr)
-		}
-	})
+	s.resolveStage(recs, msgs, resolved, workers)
 	var out []Anomaly
 	for i := range recs {
 		out = s.consumeResolved(out, recs[i], resolved[i].key, resolved[i].cl)
@@ -278,6 +290,54 @@ func (s *StreamDetector) ConsumeBatch(recs []logging.Record, workers int) []Anom
 	return out
 }
 
+// resolveStage fills resolved with every record's key and memo, probing
+// each message against the cache exactly once. The calling goroutine
+// probes in order while the probes hit, so a batch with no miss never
+// starts the pool; from the first miss on, the rest of the batch is
+// strided across workers, each probing its own records and resolving
+// its misses with one pooled scratch.
+func (s *StreamDetector) resolveStage(recs []logging.Record, msgs [][]byte, resolved []resolvedRec, workers int) {
+	first := 0
+	for first < len(recs) && s.probe(recs, msgs, first, &resolved[first]) {
+		first++
+	}
+	rest := len(recs) - first
+	if rest == 0 {
+		return
+	}
+	workers = min(workers, rest)
+	par.ForEach(workers, workers, func(w int) {
+		scr := s.d.getScratch()
+		defer s.d.putScratch(scr)
+		for i := first + w; i < len(recs); i += workers {
+			// first has been probed, and missed.
+			if i == first || !s.probe(recs, msgs, i, &resolved[i]) {
+				if msgs != nil {
+					recs[i].Message = string(msgs[i])
+				}
+				resolved[i].key, resolved[i].cl = s.d.resolveMiss(recs[i].Message, scr)
+			}
+		}
+	})
+}
+
+// probe is record i's one cache probe; on a hit it fills r (and, for an
+// encoded record, the message string) and reports true.
+func (s *StreamDetector) probe(recs []logging.Record, msgs [][]byte, i int, r *resolvedRec) bool {
+	var key *spell.Key
+	var aux any
+	var hit bool
+	if msgs != nil {
+		recs[i].Message, key, aux, hit = s.d.Cache.Probe(msgs[i])
+	} else {
+		key, aux, hit = s.d.Cache.GetAux(recs[i].Message)
+	}
+	if hit {
+		r.key, r.cl = key, aux.(*extract.CachedLookup) // every publisher stores one
+	}
+	return hit
+}
+
 // resolvedRec carries one record's resolution-stage result into the
 // ordered apply stage.
 type resolvedRec struct {
@@ -285,8 +345,8 @@ type resolvedRec struct {
 	cl  *extract.CachedLookup
 }
 
-// resolvedScratch recycles the per-ConsumeBatch resolution array. Every
-// slot in [0, len(recs)) is overwritten by the resolve stage before the
+// resolvedScratch recycles the per-batch resolution array. Every slot
+// in [0, len(recs)) is overwritten by the resolve stage before the
 // apply stage reads it, so the array is reused without clearing; the
 // pointers a parked array pins reference the model and its bounded
 // lookup cache, which outlive the pool.

@@ -1,27 +1,28 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"intellog/internal/batch"
 	"intellog/internal/conformance"
-	"intellog/internal/logging"
 	"intellog/internal/wal"
 )
 
 // TestPooledDecodeDifferential pins the pooled batch lifecycle against
 // the unpooled baseline on every conformance corpus, over both wire
-// forms: each corpus is encoded with the production encoders, decoded
-// once into freshly allocated slices and once into a single pooled
-// batch that is recycled corpus after corpus, and the two decodes must
-// be identical record for record. A recycled backing array that leaked
-// state between fills (stale records, un-reset length, clobbered
-// strings) fails here before it could ever reach the detector.
+// forms: each corpus is encoded with the production encoders and run
+// through the edge once into a fresh pool's batch and once into a
+// single pooled batch that is recycled corpus after corpus; the two
+// bodies must be byte-identical and decode to the reference edge's
+// records. A recycled buffer that leaked state between fills (stale
+// bytes, an un-reset count) fails here before it could ever reach the
+// detector.
 func TestPooledDecodeDifferential(t *testing.T) {
 	pool := batch.NewPool(0)
-	pool.DetectLeaks(func(capa int) { t.Errorf("leaked a %d-cap batch", capa) })
+	pool.DetectLeaks(func(capa int) { t.Errorf("leaked a %d-byte batch", capa) })
+	s := edgeServer(0)
 
 	for _, spec := range conformance.DefaultMatrix() {
 		spec := spec
@@ -29,7 +30,7 @@ func TestPooledDecodeDifferential(t *testing.T) {
 			recs := CorpusFor(spec)
 
 			// NDJSON wire: the replay client's encoder, then the ingest
-			// fast path (with strict encoding/json fallback) both ways.
+			// fast path (with strict encoding/json fallback).
 			var lines [][]byte
 			for i := range recs {
 				line, ok := appendWireRecord(nil, &recs[i])
@@ -42,35 +43,38 @@ func TestPooledDecodeDifferential(t *testing.T) {
 				}
 				lines = append(lines, line[:len(line)-1])
 			}
-			plain := decodeNDJSON(t, lines, nil)
-			b := pool.Get()
-			for _, line := range lines {
-				b.Append(decodeOneNDJSON(t, line, &batchResolver{intern: &wireIntern{}}))
+			want := refNDJSON(s, spec.Framework, lines)
+			_, fb := edgeNDJSON(s, batch.NewPool(0), spec.Framework, lines)
+			got, b := edgeNDJSON(s, pool, spec.Framework, lines)
+			assertSameEdge(t, got, want, b.N)
+			if !bytes.Equal(fb.Body, b.Body) || fb.N != b.N {
+				t.Fatalf("NDJSON: pooled body diverges from unpooled")
 			}
-			if !reflect.DeepEqual(plain, b.Recs) {
-				t.Fatalf("NDJSON: pooled decode diverges from unpooled")
-			}
+			fb.Release()
 			b.Release()
 
-			// ILS1 wire: one encoded frame body, decoded into a fresh
-			// slice and into a recycled pooled batch.
+			// ILS1 wire: one encoded frame body.
 			body := wal.AppendBatch(nil, 7, recs)
-			_, fresh, err := decodeBatch(body, &batchResolver{intern: &wireIntern{}}, nil)
+			_, wantBin, err := refFilterBatch(s, spec.Framework, body)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pb := pool.Get()
-			seq, out, err := decodeBatch(body, &batchResolver{intern: &wireIntern{}}, pb.Recs[:0])
-			pb.Recs = out
+			_, _, fb, err = edgeFilterBatch(s, batch.NewPool(0), spec.Framework, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, gotBin, pb, err := edgeFilterBatch(s, pool, spec.Framework, body)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if seq != 7 {
 				t.Fatalf("seq = %d, want 7", seq)
 			}
-			if !reflect.DeepEqual(fresh, pb.Recs) {
-				t.Fatalf("ILS1: pooled decode diverges from unpooled")
+			assertSameEdge(t, gotBin, wantBin, pb.N)
+			if !bytes.Equal(fb.Body, pb.Body) || fb.N != pb.N {
+				t.Fatalf("ILS1: pooled body diverges from unpooled")
 			}
+			fb.Release()
 			pb.Release()
 		})
 	}
@@ -78,27 +82,4 @@ func TestPooledDecodeDifferential(t *testing.T) {
 	if st := pool.Stats(); st.Outstanding != 0 || st.Leaked != 0 {
 		t.Fatalf("pool not quiesced after all corpora: %+v", st)
 	}
-}
-
-// decodeNDJSON decodes lines the unpooled way: a fresh record slice, a
-// per-call resolver (nil intern behaves like a cold one).
-func decodeNDJSON(t *testing.T, lines [][]byte, br *batchResolver) []logging.Record {
-	t.Helper()
-	var out []logging.Record
-	for _, line := range lines {
-		out = append(out, decodeOneNDJSON(t, line, br))
-	}
-	return out
-}
-
-func decodeOneNDJSON(t *testing.T, line []byte, br *batchResolver) logging.Record {
-	t.Helper()
-	var wr WireRecord
-	if !fastWireRecord(line, &wr, br) {
-		wr = WireRecord{}
-		if err := json.Unmarshal(line, &wr); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-	}
-	return wr.Record
 }

@@ -156,22 +156,6 @@ func (s *Server) tenantOf(w http.ResponseWriter, r *http.Request) *tenant {
 // allocation per POST otherwise, pure GC load under replay.
 var scanBufs = sync.Pool{New: func() any { return make([]byte, 0, 64<<10) }}
 
-// batchSizeHint estimates a record count from an ingest body size (the
-// replay client's structured lines run ~150-200 bytes each; undershoot
-// a little and let append take one growth step rather than several).
-func batchSizeHint(contentLength int64) int {
-	const approxLineBytes = 192
-	n := contentLength / approxLineBytes
-	switch {
-	case n <= 0:
-		return 64
-	case n > 65536:
-		return 65536
-	default:
-		return int(n)
-	}
-}
-
 // handleIngest accepts an NDJSON batch of records and queues it for the
 // tenant's worker. A full queue answers 429 with Retry-After — the
 // bounded-buffering contract: the server never absorbs more than the
@@ -253,11 +237,7 @@ func (s *Server) decodeIngest(w http.ResponseWriter, r *http.Request, t *tenant,
 	// a line past MaxRecordBytes is read whole and dead-lettered as one
 	// record, not turned into a scan error that fails its whole batch.
 	scanner.Buffer(sb, s.scanLineLimit())
-	// Pre-size from the request size (~wire bytes per record) so append
-	// doesn't re-copy the record array.
 	b := s.batches.Get()
-	b.Grow(batchSizeHint(r.ContentLength))
-	resolver := t.resolver()
 	skipped := 0
 	var dead []wal.DeadLetter
 	for scanner.Scan() {
@@ -265,10 +245,7 @@ func (s *Server) decodeIngest(w http.ResponseWriter, r *http.Request, t *tenant,
 		if len(raw) == 0 {
 			continue
 		}
-		rec, verdict, reason := s.classifyLine(t, raw, fw, formatter, resolver)
-		switch verdict {
-		case lineRecord:
-			b.Append(rec)
+		switch verdict, reason := s.classifyLine(t, raw, fw, formatter, b); verdict {
 		case lineSkip:
 			skipped++
 		case lineDead:
@@ -304,39 +281,64 @@ const (
 
 // classifyLine runs per-record ingest validation on one NDJSON wire
 // line — size cap, JSON shape, raw-line parse, message presence — and
-// is shared by /v1/ingest and /v1/dlq/requeue, so a requeued entry
-// faces exactly the rules live traffic does.
+// appends a valid record's encoding to b. It is shared by /v1/ingest
+// and /v1/dlq/requeue, so a requeued entry faces exactly the rules live
+// traffic does. A structured line on the fast path is encoded straight
+// from its JSON byte views; everything else goes through a Record.
 func (s *Server) classifyLine(t *tenant, raw []byte, fw logging.Framework,
-	formatter logging.Formatter, resolver *batchResolver) (logging.Record, lineVerdict, string) {
+	formatter logging.Formatter, b *batch.Batch) (lineVerdict, string) {
 	if len(raw) > s.cfg.MaxRecordBytes {
-		return logging.Record{}, lineDead,
+		return lineDead,
 			fmt.Sprintf("record of %d bytes exceeds the %d-byte record cap", len(raw), s.cfg.MaxRecordBytes)
 	}
-	var wr WireRecord
-	if !fastWireRecord(raw, &wr, resolver) {
-		wr = WireRecord{}
+	var line string
+	var wv wireView
+	if fastWireRecord(raw, &wv) {
+		if len(wv.Line) == 0 {
+			verdict, reason := checkRecord(len(wv.Message) == 0, len(wv.SessionID) == 0)
+			if verdict == lineRecord {
+				b.Body = wal.AppendRecordView(b.Body, &wv.RecordView, []byte(fw))
+				b.N++
+			}
+			return verdict, reason
+		}
+		line = string(wv.Line)
+	} else {
+		var wr WireRecord
 		if err := json.Unmarshal(raw, &wr); err != nil {
-			return logging.Record{}, lineDead, fmt.Sprintf("invalid JSON: %v", err)
+			return lineDead, fmt.Sprintf("invalid JSON: %v", err)
 		}
-	}
-	if wr.Line != "" {
-		rec, ok := t.parseLine(formatter, wr.Line)
-		if !ok {
-			return logging.Record{}, lineSkip, ""
+		if wr.Line == "" {
+			rec := wr.Record
+			verdict, reason := checkRecord(rec.Message == "", rec.SessionID == "")
+			if verdict == lineRecord {
+				if rec.Framework == "" {
+					rec.Framework = fw
+				}
+				b.Append(rec)
+			}
+			return verdict, reason
 		}
-		return rec, lineRecord, ""
+		line = wr.Line
 	}
-	rec := wr.Record
-	if rec.Message == "" {
-		return logging.Record{}, lineDead, "record has no message (and no raw line)"
+	rec, ok := t.parseLine(formatter, line)
+	if !ok {
+		return lineSkip, ""
 	}
-	if rec.SessionID == "" {
-		return logging.Record{}, lineSkip, ""
+	b.Append(rec)
+	return lineRecord, ""
+}
+
+// checkRecord is a structured NDJSON record's verdict: no message
+// dead-letters it, no session skips it.
+func checkRecord(noMessage, noSession bool) (lineVerdict, string) {
+	switch {
+	case noMessage:
+		return lineDead, "record has no message (and no raw line)"
+	case noSession:
+		return lineSkip, ""
 	}
-	if rec.Framework == "" {
-		rec.Framework = fw
-	}
-	return rec, lineRecord, ""
+	return lineRecord, ""
 }
 
 // parseLine parses one raw log line through the given formatter and the
@@ -551,12 +553,10 @@ func (s *Server) handleDLQRequeue(w http.ResponseWriter, r *http.Request) {
 		if want != nil && !want[e.Seq] {
 			continue
 		}
-		rec, verdict, _ := s.classifyLine(t, []byte(e.Line), fw, formatter, nil)
-		if verdict != lineRecord {
+		if verdict, _ := s.classifyLine(t, []byte(e.Line), fw, formatter, b); verdict != lineRecord {
 			failed++
 			continue
 		}
-		b.Append(rec)
 		okSeqs = append(okSeqs, e.Seq)
 	}
 	n := b.Len()

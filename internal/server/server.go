@@ -191,6 +191,9 @@ type Server struct {
 	// ServeStream) so shutdown can sever them.
 	streamMu    sync.Mutex
 	streamConns map[net.Conn]struct{}
+	// streamIdle is how long an established binary-protocol connection
+	// may go without a frame: streamIdleTimeout, shortened only by tests.
+	streamIdle time.Duration
 
 	started time.Time
 }
@@ -207,14 +210,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		tenants:  map[string]*list.Element{},
-		lru:      list.New(),
-		evicting: map[string]chan struct{}{},
-		reg:      metrics.NewRegistry(),
-		closed:   make(chan struct{}),
-		batches:  batch.NewPool(0),
-		started:  time.Now(),
+		cfg:        cfg,
+		tenants:    map[string]*list.Element{},
+		lru:        list.New(),
+		evicting:   map[string]chan struct{}{},
+		reg:        metrics.NewRegistry(),
+		closed:     make(chan struct{}),
+		batches:    batch.NewPool(0),
+		streamIdle: streamIdleTimeout,
+		started:    time.Now(),
 	}
 	s.registerGauges()
 	if err := s.restoreCheckpointed(); err != nil {

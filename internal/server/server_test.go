@@ -53,7 +53,9 @@ func testRecords(session string, n int) []logging.Record {
 // whether the batch was admitted.
 func (t *tenant) enqueueRecords(recs []logging.Record) (bool, error) {
 	b := t.srv.batches.Get()
-	b.Recs = append(b.Recs, recs...)
+	for _, rec := range recs {
+		b.Append(rec)
+	}
 	verdict, err := t.admit(b, 0, nil)
 	return verdict == admitted, err
 }

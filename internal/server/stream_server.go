@@ -12,13 +12,20 @@ import (
 
 	"intellog/internal/batch"
 	"intellog/internal/logging"
-	"intellog/internal/metrics"
 	"intellog/internal/wal"
 )
 
 // helloTimeout bounds how long a fresh connection may dawdle before
 // completing the magic + Hello exchange.
 const helloTimeout = 30 * time.Second
+
+// streamIdleTimeout bounds how long an established connection may go without
+// sending a frame; a peer that stalls longer is closed, so it cannot pin
+// its goroutine and read buffer forever. It sits far above any pause of
+// a live client: the replay client and the bench/ load generator send
+// continuously once connected, and the load generator's longest gap
+// (batch detection between setup and warm-up) is seconds.
+const streamIdleTimeout = 2 * time.Minute
 
 // ServeStream accepts binary-protocol ingest connections on ln until
 // the listener is closed (then it returns nil) or fails. Each
@@ -146,15 +153,13 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 	if err := sendAck(streamAck{Status: ackAccepted}); err != nil {
 		return err
 	}
-	conn.SetReadDeadline(time.Time{})
-
-	resolver := t.resolver()
 
 	// resyncSeq, when non-zero, is the refused frame the client must
 	// retransmit next; frames with any other seq bounce with 425 so the
 	// accepted stream keeps per-session order (go-back-N).
 	var resyncSeq uint64
 	for {
+		conn.SetReadDeadline(time.Now().Add(s.streamIdle))
 		typ, body, fbuf, err = wal.ReadFrame(br, fbuf, maxFrame)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
@@ -172,13 +177,14 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 			return nil
 		default:
 		}
-		// Decode into a rented batch (decodeBatch appends into — and may
-		// grow — its backing array; either way the batch keeps it).
-		// Ownership passes to admitStreamBatch; the refusal paths before
-		// it release here.
+		// Validate into a rented batch. Ownership passes to
+		// admitStreamBatch; the refusal paths before it release here.
+		seq, count, recs, err := wal.ParseBatchHeader(body)
+		if err != nil {
+			return err
+		}
 		b := s.batches.Get()
-		seq, recs, err := decodeBatch(body, resolver, b.Recs[:0])
-		b.Recs = recs
+		skipped, dead, err := s.filterBatch(fw, count, recs, b)
 		if err != nil {
 			b.Release()
 			return err
@@ -190,7 +196,7 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 			}
 			continue
 		}
-		ack := s.admitStreamBatch(t, fw, seq, b)
+		ack := s.admitStreamBatch(t, seq, b, skipped, dead)
 		if ack.Status == ackAccepted {
 			resyncSeq = 0
 		} else {
@@ -202,33 +208,57 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 	}
 }
 
-// admitStreamBatch validates and admits one decoded batch, mirroring
-// handleIngest's admission rules record for record: an invalid record
-// (no message, oversized) dead-letters individually instead of failing
-// the frame, so one bad record no longer rejects its neighbors. The
-// batch passes to tenant.admit, which owns it on every outcome (a
-// refused frame is retransmitted and decoded into a fresh rental); this
-// only renders the verdict as an ack.
-func (s *Server) admitStreamBatch(t *tenant, fw logging.Framework, seq uint64, b *batch.Batch) streamAck {
-	recs := b.Recs
-	kept := recs[:0]
-	skipped := 0
-	var dead []wal.DeadLetter
-	for i := range recs {
-		if reason := s.validateStreamRecord(&recs[i]); reason != "" {
-			dead = append(dead, wal.DeadLetter{Reason: reason, Line: deadLetterLine(&recs[i])})
-			continue
+// filterBatch applies handleIngest's admission rules, record for record,
+// to count encoded records and fills b with the ones kept: an invalid
+// record (no message, oversized) dead-letters individually instead of
+// failing the frame, a record with no session is skipped, and one with
+// no framework takes the connection's. Each record is only validated,
+// as a wal.RecordView, never materialized. When nothing is dropped or
+// filled the body is recs, copied into b once; otherwise it is the kept
+// records' byte ranges, and only the records that took a framework are
+// re-encoded. A record that does not decode, or bytes left over after
+// count records, fail the frame.
+func (s *Server) filterBatch(fw logging.Framework, count int, recs []byte, b *batch.Batch) (skipped int, dead []wal.DeadLetter, err error) {
+	b.Grow(len(recs))
+	var v wal.RecordView
+	p := recs
+	run := 0 // start of the pending run of records kept as they are
+	for i := 0; i < count; i++ {
+		start := len(recs) - len(p)
+		if p, err = wal.DecodeRecordView(p, &v); err != nil {
+			return 0, nil, fmt.Errorf("batch: record %d: %w", i, err)
 		}
-		if recs[i].SessionID == "" {
+		reason := s.validateRecord(&v)
+		switch {
+		case reason == "" && len(v.SessionID) > 0 && len(v.Framework) > 0:
+			b.N++
+			continue
+		case reason != "":
+			rec := v.Record()
+			dead = append(dead, wal.DeadLetter{Reason: reason, Line: deadLetterLine(&rec)})
+		case len(v.SessionID) == 0:
 			skipped++
-			continue
 		}
-		if recs[i].Framework == "" {
-			recs[i].Framework = fw
+		b.Body = append(b.Body, recs[run:start]...)
+		run = len(recs) - len(p)
+		if reason == "" && len(v.SessionID) > 0 {
+			b.Body = wal.AppendRecordView(b.Body, &v, []byte(fw))
+			b.N++
 		}
-		kept = append(kept, recs[i])
 	}
-	b.Recs = kept
+	if len(p) != 0 {
+		return 0, nil, wal.Errf("batch: %d trailing bytes", len(p))
+	}
+	b.Body = append(b.Body, recs[run:]...)
+	return skipped, dead, nil
+}
+
+// admitStreamBatch admits one filtered batch and renders the verdict as
+// an ack. The batch passes to tenant.admit, which owns it on every
+// outcome (a refused frame is retransmitted and filtered into a fresh
+// rental).
+func (s *Server) admitStreamBatch(t *tenant, seq uint64, b *batch.Batch, skipped int, dead []wal.DeadLetter) streamAck {
+	accepted := b.Len()
 	switch verdict, err := t.admit(b, skipped, dead); verdict {
 	case admitTooLarge:
 		return streamAck{Seq: seq, Status: ackTooLarge, Skipped: skipped,
@@ -240,23 +270,19 @@ func (s *Server) admitStreamBatch(t *tenant, fw logging.Framework, seq uint64, b
 		return streamAck{Seq: seq, Status: ackQueueFull, Skipped: skipped,
 			RetryMs: 1000, Msg: "ingest queue full"}
 	}
-	s.reg.Counter("intellogd_stream_batches_total",
-		"binary ingest batches accepted, per tenant",
-		metrics.Label{Key: "tenant", Value: t.name}).Inc()
+	t.streamBatches.Inc()
 	return streamAck{Seq: seq, Status: ackAccepted,
-		Accepted: len(kept), Skipped: skipped, Dead: len(dead)}
+		Accepted: accepted, Skipped: skipped, Dead: len(dead)}
 }
 
-// validateStreamRecord applies per-record validation to a structured
-// (binary-wire) record; a non-empty reason dead-letters it. Size is
-// judged on the string payload, the analogue of the NDJSON line cap.
-func (s *Server) validateStreamRecord(rec *logging.Record) string {
-	if rec.Message == "" {
+// validateRecord applies per-record validation to a structured record
+// (either wire's); a non-empty reason dead-letters it. Size is judged
+// on the string payload, the analogue of the NDJSON line cap.
+func (s *Server) validateRecord(v *wal.RecordView) string {
+	if len(v.Message) == 0 {
 		return "record has no message"
 	}
-	size := len(rec.Message) + len(rec.Source) + len(rec.SessionID) +
-		len(rec.TemplateID) + len(rec.Framework)
-	if size > s.cfg.MaxRecordBytes {
+	if size := v.Size(); size > s.cfg.MaxRecordBytes {
 		return fmt.Sprintf("record payload of %d bytes exceeds the %d-byte record cap",
 			size, s.cfg.MaxRecordBytes)
 	}

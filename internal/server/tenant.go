@@ -86,10 +86,13 @@ type tenant struct {
 	wal *wal.Log
 	dlq *wal.DLQ
 	// dlqRecords counts records dead-lettered and anomalies the findings
-	// emitted, per detect.Kind. Both are registered at load, so every
+	// emitted, per detect.Kind. All three are registered at load, so every
 	// series reads 0 before its first event instead of being absent.
 	dlqRecords *metrics.Counter
 	anomalies  [int(detect.Overflow) + 1]*metrics.Counter
+	// streamBatches counts binary-wire batches accepted, resolved once at
+	// load so the per-frame ack path renders no labels.
+	streamBatches *metrics.Counter
 
 	// ingest counters (mirrored into /metrics).
 	records     atomic.Uint64 // accepted records
@@ -157,6 +160,9 @@ func newTenant(srv *Server, name string, m *core.Model, st *detect.StreamState, 
 	t.dlqRecords = srv.reg.Counter("intellogd_dlq_records_total",
 		"records dead-lettered per tenant",
 		metrics.Label{Key: "tenant", Value: name})
+	t.streamBatches = srv.reg.Counter("intellogd_stream_batches_total",
+		"binary ingest batches accepted, per tenant",
+		metrics.Label{Key: "tenant", Value: name})
 	for k := range t.anomalies {
 		t.anomalies[k] = srv.reg.Counter("intellogd_anomalies_total",
 			"anomalies emitted, by tenant and kind",
@@ -213,12 +219,9 @@ func (t *tenant) openWALAndReplay(st *detect.StreamState) error {
 			t.name, cursor, seq)
 		cursor = seq
 	}
-	replayed, err := wl.ReplayAfter(cursor, func(recs []logging.Record) error {
-		if anoms := t.sd.ConsumeBatch(recs, 0); len(anoms) > 0 {
-			t.sink.append(anoms)
-			t.countAnomalies(anoms)
-		}
-		return nil
+	var dec detect.Decoder
+	replayed, err := wl.ReplayEncoded(cursor, func(count int, body []byte) error {
+		return t.consume(&dec, count, body)
 	})
 	if err != nil {
 		wl.Close()
@@ -235,28 +238,42 @@ func (t *tenant) openWALAndReplay(st *detect.StreamState) error {
 // run is one tenant worker: it feeds the streaming detector with its
 // queue's records (every session routes to exactly one queue, so records
 // of one session are consumed in ingest order) and flushes each task's
-// findings to the anomaly sink in one batched append. Each task goes
-// through the detector's two-stage ConsumeBatch, so the tokenize/lookup/
-// bind stage of even a single-worker tenant fans out across the CPUs
-// while the stateful apply stays ordered.
+// findings to the anomaly sink in one batched append. Each batch is
+// decoded here, once, into the worker's own Decoder, and goes through
+// the detector's two-stage ConsumeEncoded, so the resolve stage of even
+// a single-worker tenant fans out across the CPUs on a miss while the
+// stateful apply stays ordered.
 func (t *tenant) run(q chan task) {
 	defer t.worker.Done()
+	var dec detect.Decoder
 	for tk := range q {
 		if tk.ctl != nil {
 			tk.ctl()
 			continue
 		}
-		if anoms := t.sd.ConsumeBatch(tk.b.Recs, 0); len(anoms) > 0 {
-			t.sink.append(anoms)
-			t.countAnomalies(anoms)
-		}
 		n := tk.b.Len()
-		// The detector consumed in place and retains nothing from the
-		// backing array (anomalies copy out what they keep), so the batch
-		// recycles here — the end of its ownership chain.
+		if err := t.consume(&dec, n, tk.b.Body); err != nil {
+			// The edge validated every record before admitting it, so
+			// this is a bug, not bad input.
+			log.Printf("intellogd: tenant %s: dropped an undecodable batch: %v", t.name, err)
+		}
+		// The records keep no view of the body (anomalies copy out what
+		// they keep), so the batch recycles here — the end of its
+		// ownership chain.
 		tk.b.Release()
 		t.pending.Add(int64(-n))
 	}
+}
+
+// consume decodes and detects one encoded batch — a served one, or a
+// WAL entry at replay — and flushes its findings to the sink.
+func (t *tenant) consume(dec *detect.Decoder, count int, body []byte) error {
+	anoms, err := t.sd.ConsumeEncoded(dec, count, body)
+	if len(anoms) > 0 {
+		t.sink.append(anoms)
+		t.countAnomalies(anoms)
+	}
+	return err
 }
 
 // countAnomalies mirrors emitted findings into the tenant's per-kind
@@ -279,7 +296,7 @@ func (t *tenant) countAnomalies(as []detect.Anomaly) {
 // routeSession maps a session ID to one of n owners (FNV-1a): a tenant's
 // worker queue, or a replay client's connection. Any stable hash works;
 // nothing persists it.
-func routeSession(id string, n int) int {
+func routeSession[S string | []byte](id S, n int) int {
 	if n == 1 {
 		return 0
 	}
@@ -368,15 +385,6 @@ func (t *tenant) enqueue(b *batch.Batch) (admission, error) {
 	return admitted, nil
 }
 
-// resolver builds the batchResolver one request or connection decodes
-// through: a fresh bounded intern table for the small fields, and the
-// model's lookup cache for messages, so the overwhelmingly common
-// repeat rendering costs no allocation and the detector's own cache
-// probe later hits the very same string.
-func (t *tenant) resolver() *batchResolver {
-	return &batchResolver{intern: &wireIntern{}, cache: t.det.Cache}
-}
-
 // sendBatch splits a batch by session route (preserving input order
 // within each split) and places the splits atomically: under routeMu
 // every target queue is checked for room before anything is sent, so
@@ -399,24 +407,28 @@ func (t *tenant) sendBatch(b *batch.Batch) (bool, error) {
 		if len(t.queues[0]) >= cap(t.queues[0]) {
 			return false, nil
 		}
-		if err := t.walAppend(b.Recs); err != nil {
+		if err := t.walAppend(b); err != nil {
 			return false, err
 		}
 		t.queues[0] <- task{b: b}
 		return true, nil
 	}
-	// Multi-queue: copy each record into its route's own pooled
+	// Multi-queue: copy each record's bytes into its route's own pooled
 	// sub-batch (input order preserved within a split), then place the
 	// splits atomically and recycle the original. Splits are rented
 	// lazily — a single-session batch costs one sub-batch, not one per
-	// queue.
+	// queue. The edge validated every record, so the walk cannot fail.
 	split := make([]*batch.Batch, len(t.queues))
-	for i := range b.Recs {
-		w := routeSession(b.Recs[i].SessionID, len(t.queues))
+	var v wal.RecordView
+	for p := b.Body; len(p) > 0; {
+		rest, _ := wal.DecodeRecordView(p, &v)
+		w := routeSession(v.SessionID, len(t.queues))
 		if split[w] == nil {
 			split[w] = t.srv.batches.Get()
 		}
-		split[w].Append(b.Recs[i])
+		split[w].Body = append(split[w].Body, p[:len(p)-len(rest)]...)
+		split[w].N++
+		p = rest
 	}
 	releaseSplits := func() {
 		for _, sb := range split {
@@ -433,7 +445,7 @@ func (t *tenant) sendBatch(b *batch.Batch) (bool, error) {
 			return false, nil
 		}
 	}
-	if err := t.walAppend(b.Recs); err != nil {
+	if err := t.walAppend(b); err != nil {
 		releaseSplits()
 		return false, err
 	}
@@ -446,13 +458,13 @@ func (t *tenant) sendBatch(b *batch.Batch) (bool, error) {
 	return true, nil
 }
 
-// walAppend durably logs an admitted batch (no-op without a WAL). Must
-// run under routeMu — see sendBatch.
-func (t *tenant) walAppend(recs []logging.Record) error {
+// walAppend durably logs an admitted batch's bytes as they are (no-op
+// without a WAL). Must run under routeMu — see sendBatch.
+func (t *tenant) walAppend(b *batch.Batch) error {
 	if t.wal == nil {
 		return nil
 	}
-	if err := t.wal.Append(recs); err != nil {
+	if err := t.wal.AppendEncoded(b.N, b.Body); err != nil {
 		t.srv.reg.Counter("intellogd_wal_append_errors_total",
 			"failed write-ahead-log appends per tenant",
 			metrics.Label{Key: "tenant", Value: t.name}).Inc()

@@ -7,6 +7,7 @@ import (
 	"unicode/utf8"
 
 	"intellog/internal/logging"
+	"intellog/internal/wal"
 )
 
 // The NDJSON wire format is plain encoding/json over WireRecord, but
@@ -14,52 +15,13 @@ import (
 // decodeState eat ~half the intellogd samples under replay, detection
 // under a tenth). This file is the fast path both ends share: a
 // hand-rolled decoder for the structured record shape the replay client
-// emits, and a matching appender the client uses to build batches.
+// emits, which yields byte views the handler encodes straight into the
+// batch (no field becomes a string on the ack path), and a matching
+// appender the client uses to build batches.
 // Either side falls back to encoding/json the moment a line strays from
 // the simple shape — an escape sequence, non-ASCII text, an unknown
 // key — so wire semantics stay exactly encoding/json's; the fast path
 // only ever accepts inputs on which the two agree.
-
-// wireIntern dedups the small wire strings that repeat across the
-// records of one ingest request — session IDs, sources, template IDs,
-// framework names. One batch carries each session ID and source dozens
-// of times; interning turns those into one allocation each, which
-// matters because GC work is the second-largest band in the serving
-// profile after the codec itself. Scoped to a single request or
-// connection (one goroutine), so it needs no locking.
-//
-// The table is bounded: an HTTP-scoped interner dies with its request,
-// but a binary-protocol connection lives for the whole replay, and an
-// adversarial (or merely high-cardinality) stream of distinct session
-// IDs would otherwise grow it without limit. At wireInternCap entries
-// the table resets wholesale — dedup restarts warm within a batch,
-// which is where virtually all the repetition lives, and the evicted
-// strings stay reachable only from the records that used them.
-type wireIntern struct {
-	m map[string]string
-}
-
-// wireInternCap bounds one interner's table. Real streams carry a few
-// hundred distinct small strings; the cap only exists to make the
-// worst case a reset instead of a leak.
-const wireInternCap = 4096
-
-func (in *wireIntern) get(b []byte) string {
-	if in == nil {
-		return string(b)
-	}
-	if s, ok := in.m[string(b)]; ok { // no-alloc lookup
-		return s
-	}
-	s := string(b)
-	if in.m == nil {
-		in.m = make(map[string]string, 64)
-	} else if len(in.m) >= wireInternCap {
-		clear(in.m)
-	}
-	in.m[s] = s
-	return s
-}
 
 // plainWireChar marks bytes that may appear verbatim inside a fast-path
 // string literal: printable ASCII except the terminator '"' and the
@@ -118,14 +80,24 @@ func scanWireString(raw []byte, i int) ([]byte, int, bool) {
 	return nil, i, false
 }
 
-// fastWireRecord decodes one structured NDJSON line into wr. It handles
-// a single flat object whose keys are exactly Record's fields (any
-// order, any subset, plus "line"), with plain printable-ASCII string
-// values and a bare-integer Level. br may be nil. Returns false — with
-// wr possibly half-filled, the caller must re-decode from scratch — on
-// anything else: escapes, non-ASCII, unknown keys, unexpected value
-// shapes, malformed JSON.
-func fastWireRecord(raw []byte, wr *WireRecord, br *batchResolver) bool {
+// wireView is one structured NDJSON line decoded in place: the record
+// fields as a wal.RecordView over the line's bytes, plus the raw "line"
+// field when present.
+type wireView struct {
+	wal.RecordView
+	Line []byte
+}
+
+// fastWireRecord decodes one structured NDJSON line into wv as views
+// into raw. It handles a single flat object whose keys are exactly
+// Record's fields (any order, any subset, plus "line"), with plain
+// printable-ASCII string values and a bare-integer Level. Returns false
+// — with wv possibly half-filled, the caller must re-decode from
+// scratch — on anything else: escapes, non-ASCII, unknown keys,
+// unexpected value shapes, malformed JSON.
+func fastWireRecord(raw []byte, wv *wireView) bool {
+	*wv = wireView{}
+	wv.Nano = wal.ZeroTimeNano
 	i := 0
 	ws := func() {
 		for i < len(raw) {
@@ -183,7 +155,7 @@ func fastWireRecord(raw []byte, wr *WireRecord, br *batchResolver) bool {
 			if neg {
 				n = -n
 			}
-			wr.Level = logging.Level(n)
+			wv.Level = logging.Level(n)
 		} else {
 			quote := i
 			val, ni, ok := scanWireString(raw, i)
@@ -195,26 +167,27 @@ func fastWireRecord(raw []byte, wr *WireRecord, br *batchResolver) bool {
 			case "Time":
 				// Hand the still-quoted literal to time.Time's own parser,
 				// so accepted formats match encoding/json exactly.
-				if err := wr.Time.UnmarshalJSON(raw[quote:i]); err != nil {
+				var at time.Time
+				if err := at.UnmarshalJSON(raw[quote:i]); err != nil {
 					return false
 				}
+				wv.Nano, wv.Offset = wal.ZeroTimeNano, 0
+				if !at.IsZero() {
+					_, off := at.Zone()
+					wv.Nano, wv.Offset = at.UnixNano(), int32(off)
+				}
 			case "Source":
-				wr.Source = br.small(val)
+				wv.Source = val
 			case "Message":
-				// Resolve against the tenant's lookup cache when wired
-				// (batchResolver.msg): the overwhelmingly common repeat
-				// rendering lands on the model's interned string with no
-				// allocation, and the detector's own cache probe then
-				// hits that very string.
-				wr.Message = br.message(val)
+				wv.Message = val
 			case "Framework":
-				wr.Framework = logging.Framework(br.small(val))
+				wv.Framework = val
 			case "SessionID":
-				wr.SessionID = br.small(val)
+				wv.SessionID = val
 			case "TemplateID":
-				wr.TemplateID = br.small(val)
+				wv.TemplateID = val
 			case "line":
-				wr.Line = string(val)
+				wv.Line = val
 			default:
 				return false
 			}

@@ -42,8 +42,9 @@ func TestFastWireRecordMatchesEncodingJSON(t *testing.T) {
 			if string(line) != string(want)+"\n" {
 				t.Fatalf("fast line %q, encoding/json %q", line, want)
 			}
-			var fast, std WireRecord
-			if !fastWireRecord(line[:len(line)-1], &fast, nil) {
+			var std WireRecord
+			fast, ok := fastWire(line[:len(line)-1])
+			if !ok {
 				t.Fatalf("fast decoder declined its own output %q", line)
 			}
 			if err := json.Unmarshal(line[:len(line)-1], &std); err != nil {
@@ -98,8 +99,7 @@ func TestFastWireRecordFallbacks(t *testing.T) {
 		`{"Message":1}`,
 	}
 	for _, raw := range decodeCases {
-		var wr WireRecord
-		if fastWireRecord([]byte(raw), &wr, &batchResolver{intern: &wireIntern{}}) {
+		if _, ok := fastWire([]byte(raw)); ok {
 			t.Errorf("fast decoder accepted %q", raw)
 		}
 	}
@@ -107,15 +107,24 @@ func TestFastWireRecordFallbacks(t *testing.T) {
 	// The lines it declines must still work end to end via the fallback:
 	// simulate the handler's retry.
 	raw := []byte(`{"message":"lowercase key","SessionID":"s"}`)
-	var wr WireRecord
-	if fastWireRecord(raw, &wr, nil) {
+	if _, ok := fastWire(raw); ok {
 		t.Fatal("expected fallback")
 	}
-	wr = WireRecord{}
+	var wr WireRecord
 	if err := json.Unmarshal(raw, &wr); err != nil {
 		t.Fatal(err)
 	}
 	if wr.Message != "lowercase key" || wr.SessionID != "s" {
 		t.Errorf("fallback decode = %+v", wr)
 	}
+}
+
+// fastWire runs the fast decoder and plain-copies its views into the
+// WireRecord encoding/json would produce.
+func fastWire(raw []byte) (WireRecord, bool) {
+	var wv wireView
+	if !fastWireRecord(raw, &wv) {
+		return WireRecord{}, false
+	}
+	return WireRecord{Line: string(wv.Line), Record: wv.Record()}, true
 }

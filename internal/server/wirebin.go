@@ -2,10 +2,8 @@ package server
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"intellog/internal/logging"
-	"intellog/internal/spell"
 	"intellog/internal/wal"
 )
 
@@ -20,7 +18,7 @@ import (
 // per-session record order survives pipelining).
 //
 // Frames are wal.AppendFrame's CRC envelope and a Batch body is
-// wal.AppendBatch's layout — the WAL stores the same bytes. The decode
+// wal.AppendBatch's layout — the WAL stores the same record bytes. The decode
 // side never trusts a length without bounds-checking it first — a
 // truncated, oversized or corrupt frame is an error, never a panic or
 // over-read (FuzzWireFrame pins this).
@@ -83,76 +81,10 @@ func parseHello(p []byte) (tenant string, fw logging.Framework, err error) {
 
 // --- Batch -------------------------------------------------------------
 
-// batchResolver materializes a decoded record's strings. intern dedups
-// the small repeating fields (session IDs, sources); cache, when set,
-// resolves message bytes against an interned rendering the model
-// already owns (the tenant's lookup cache), so repeats cost no
-// allocation at all and the detector's own cache probe later hits that
-// very string. A nil resolver plain-copies everything.
-type batchResolver struct {
-	intern *wireIntern
-	cache  *spell.LookupCache
-}
-
-func (br *batchResolver) message(b []byte) string {
-	if br != nil && br.cache != nil {
-		if canon, _, _, ok := br.cache.Peek(b); ok {
-			return canon
-		}
-	}
-	return string(b)
-}
-
-func (br *batchResolver) small(b []byte) string {
-	if br == nil {
-		return string(b)
-	}
-	return br.intern.get(b)
-}
-
-// decodeBatch decodes a Batch body, appending the records to recs. The
-// record layout is wal.DecodeRecordView's; its byte views are
-// materialized through br here (the payload buffer is reused by the
-// next frame, so views cannot escape).
-func decodeBatch(p []byte, br *batchResolver, recs []logging.Record) (seq uint64, out []logging.Record, err error) {
-	seq, p, ok := wal.Uvarint(p)
-	if !ok {
-		return 0, recs, wal.Errf("batch: bad seq")
-	}
-	count, p, ok := wal.Uvarint(p)
-	if !ok {
-		return 0, recs, wal.Errf("batch: bad record count")
-	}
-	// Each record costs ≥ 17 bytes on the wire; a count the remaining
-	// body cannot possibly hold is malformed, not an allocation order.
-	if count > uint64(len(p)/17)+1 {
-		return 0, recs, wal.Errf("batch: record count %d exceeds body", count)
-	}
-	if need := len(recs) + int(count); cap(recs) < need {
-		grown := make([]logging.Record, len(recs), need)
-		copy(grown, recs)
-		recs = grown
-	}
-	var v wal.RecordView
-	for i := uint64(0); i < count; i++ {
-		if p, err = wal.DecodeRecordView(p, &v); err != nil {
-			return 0, recs, fmt.Errorf("batch: record %d: %w", i, err)
-		}
-		recs = append(recs, logging.Record{
-			Time:       v.Time,
-			Level:      v.Level,
-			Source:     br.small(v.Source),
-			Message:    br.message(v.Message),
-			Framework:  logging.Framework(br.small(v.Framework)),
-			SessionID:  br.small(v.SessionID),
-			TemplateID: br.small(v.TemplateID),
-		})
-	}
-	if len(p) != 0 {
-		return 0, recs, wal.Errf("batch: %d trailing bytes", len(p))
-	}
-	return seq, recs, nil
-}
+// Batch frame bodies are wal.AppendBatch's layout. The connection
+// goroutine never materializes their records: filterBatch validates
+// each one as a wal.RecordView and passes the bytes on, and the tenant
+// worker decodes them, off the ack path.
 
 // --- Ack ---------------------------------------------------------------
 

@@ -3,16 +3,15 @@ package server
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"intellog/internal/batch"
 	"intellog/internal/conformance"
 	"intellog/internal/logging"
-	"intellog/internal/spell"
 	"intellog/internal/wal"
 )
 
@@ -74,10 +73,11 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	if err != nil || typ != frameBatch {
 		t.Fatalf("batch frame: type=%d err=%v", typ, err)
 	}
-	seq, recs, err := decodeBatch(body, &batchResolver{intern: &wireIntern{}}, nil)
+	seq, _, _, err := wal.ParseBatchHeader(body)
 	if err != nil {
-		t.Fatalf("decodeBatch: %v", err)
+		t.Fatalf("ParseBatchHeader: %v", err)
 	}
+	recs := plainDecodeBatch(t, body)
 	if seq != 7 {
 		t.Fatalf("seq = %d, want 7", seq)
 	}
@@ -174,6 +174,9 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestDecodeBatchRejectsMalformed: the edge refuses a malformed Batch
+// body — it fails the frame, and the connection with it — before any
+// record reaches a batch.
 func TestDecodeBatchRejectsMalformed(t *testing.T) {
 	good := wal.AppendBatch(nil, 1, wireRecords())
 	cases := []struct {
@@ -186,12 +189,17 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 		{"truncated record", good[:len(good)-2]},
 		{"trailing bytes", append(append([]byte(nil), good...), 0)},
 	}
+	s, pool := edgeServer(0), batch.NewPool(0)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := decodeBatch(tc.body, nil, nil); err == nil {
-				t.Fatal("decodeBatch accepted malformed body")
+			if _, _, b, err := edgeFilterBatch(s, pool, logging.Spark, tc.body); err == nil {
+				b.Release()
+				t.Fatal("the edge accepted a malformed body")
 			}
 		})
+	}
+	if st := pool.Stats(); st.Outstanding != 0 {
+		t.Fatalf("%d batches outstanding after refusals", st.Outstanding)
 	}
 }
 
@@ -210,33 +218,15 @@ func TestParseHelloRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestWireInternBounded pins the interner's memory contract: feed it far
-// more distinct strings than its cap and the table must reset rather
-// than grow, while every returned string still equals its input.
-func TestWireInternBounded(t *testing.T) {
-	in := &wireIntern{}
-	for i := 0; i < 3*wireInternCap; i++ {
-		s := fmt.Sprintf("session-%d", i)
-		if got := in.get([]byte(s)); got != s {
-			t.Fatalf("get(%q) = %q", s, got)
-		}
-		if len(in.m) > wireInternCap {
-			t.Fatalf("intern table grew to %d entries (cap %d)", len(in.m), wireInternCap)
-		}
-	}
-	// Repeats still dedup after the resets.
-	a := in.get([]byte("stable"))
-	b := in.get([]byte("stable"))
-	if a != b {
-		t.Fatalf("repeat lookup diverged: %q vs %q", a, b)
-	}
-}
-
-// FuzzWireFrame pins the decoder's safety contract: arbitrary bytes —
-// truncated, oversized, corrupt-CRC, or structurally malformed — must
-// produce an error, never a panic, over-read or runaway allocation. A
-// batch body that does decode must re-encode and re-decode to the same
-// records (idempotence after the first decode).
+// FuzzWireFrame pins the decoder's safety contract and the edge's
+// semantics: arbitrary bytes — truncated, oversized, corrupt-CRC, or
+// structurally malformed — must produce an error, never a panic,
+// over-read or runaway allocation; and for every Batch body the
+// view-based edge must agree with the plain reference (decode, then
+// validate, then fill the framework) on whether the frame fails, on the
+// accepted, skipped and dead-lettered counts, and on the records its
+// body decodes to. A filtered body fed back through the edge passes
+// unchanged.
 func FuzzWireFrame(f *testing.F) {
 	f.Add(append([]byte(nil), wal.AppendFrame(nil, frameHello, appendHello(nil, "acme", logging.Spark))...))
 	f.Add(wal.AppendFrame(nil, frameBatch, wal.AppendBatch(nil, 3, wireRecords())))
@@ -246,7 +236,12 @@ func FuzzWireFrame(f *testing.F) {
 	corrupt := wal.AppendFrame(nil, frameBatch, wal.AppendBatch(nil, 1, wireRecords()[:1]))
 	corrupt[len(corrupt)-2] ^= 0x40
 	f.Add(corrupt)
+	clean := wireRecords()[:2]
+	f.Add(wal.AppendFrame(nil, frameBatch, wal.AppendBatch(nil, 9, clean)))
 
+	// wireRecords' 300-byte source is over this cap, so the seeds
+	// exercise every rule: keep, fill, skip, and both dead letters.
+	s, pool := edgeServer(256), batch.NewPool(0)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
@@ -263,37 +258,32 @@ func FuzzWireFrame(f *testing.F) {
 			case frameAck:
 				parseAck(body)
 			case frameBatch:
-				seq, recs, err := decodeBatch(body, &batchResolver{intern: &wireIntern{}}, nil)
+				wantSeq, want, werr := refFilterBatch(s, logging.Spark, body)
+				seq, got, b, err := edgeFilterBatch(s, pool, logging.Spark, body)
+				if (err == nil) != (werr == nil) {
+					t.Fatalf("edge error %v, reference error %v", err, werr)
+				}
 				if err != nil {
 					continue
 				}
-				assertPlainDecodeAgrees(t, body, recs)
-				again := wal.AppendBatch(nil, seq, recs)
-				seq2, recs2, err := decodeBatch(again, &batchResolver{intern: &wireIntern{}}, nil)
-				if err != nil {
-					t.Fatalf("re-decode of re-encoded batch failed: %v", err)
+				if seq != wantSeq {
+					t.Fatalf("edge seq %d, reference %d", seq, wantSeq)
 				}
-				if seq2 != seq || len(recs2) != len(recs) {
-					t.Fatalf("re-decode changed shape: seq %d→%d, %d→%d records",
-						seq, seq2, len(recs), len(recs2))
+				assertSameEdge(t, got, want, b.N)
+				again := append(wal.AppendBatchHeader(nil, seq, b.N), b.Body...)
+				_, res, b2, err := edgeFilterBatch(s, pool, logging.Spark, again)
+				if err != nil || res.skipped != 0 || len(res.dead) != 0 || !bytes.Equal(b2.Body, b.Body) {
+					t.Fatalf("a filtered body did not pass the edge unchanged (err %v)", err)
 				}
-				for i := range recs {
-					if !recs[i].Time.Equal(recs2[i].Time) {
-						t.Fatalf("record %d time drifted on re-encode", i)
-					}
-					recs[i].Time, recs2[i].Time = time.Time{}, time.Time{}
-					if !reflect.DeepEqual(recs[i], recs2[i]) {
-						t.Fatalf("record %d drifted on re-encode: %+v vs %+v", i, recs[i], recs2[i])
-					}
-				}
+				b2.Release()
+				b.Release()
 			}
 		}
 	})
 }
 
-// plainDecodeBatch decodes a Batch body the WAL-replay way: the frame
-// header by hand, then every record through wal.DecodeRecord's plain
-// string copies.
+// plainDecodeBatch decodes a Batch body the plain way: the frame header
+// by hand, then every record through wal.DecodeRecord's string copies.
 func plainDecodeBatch(t *testing.T, body []byte) []logging.Record {
 	t.Helper()
 	_, p, ok := wal.Uvarint(body)
@@ -316,50 +306,31 @@ func plainDecodeBatch(t *testing.T, body []byte) []logging.Record {
 	return out
 }
 
-// assertPlainDecodeAgrees checks decodeBatch's resolver-materialized
-// records against wal.DecodeRecord's plain copies of the same body,
-// field for field.
-func assertPlainDecodeAgrees(t *testing.T, body []byte, got []logging.Record) {
-	t.Helper()
-	want := plainDecodeBatch(t, body)
-	if len(got) != len(want) {
-		t.Fatalf("decodeBatch gave %d records, wal.DecodeRecord %d", len(got), len(want))
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		_, goff := g.Time.Zone()
-		_, woff := w.Time.Zone()
-		if !g.Time.Equal(w.Time) || goff != woff || g.Time.IsZero() != w.Time.IsZero() {
-			t.Fatalf("record %d time: decodeBatch %v, wal.DecodeRecord %v", i, g.Time, w.Time)
-		}
-		g.Time, w.Time = time.Time{}, time.Time{}
-		if g != w {
-			t.Fatalf("record %d: decodeBatch %+v, wal.DecodeRecord %+v", i, g, w)
-		}
-	}
-}
-
 // TestDecodeBatchMatchesWALDecode runs every conformance corpus through
-// the one record decoder both ways — the serving wire's interning,
-// cache-resolving materialization and WAL replay's plain copies — and
-// requires identical records. Half the corpus's messages are cached
-// first, so both of the resolver's message branches are exercised.
+// the ILS1 edge as 512-record frames, with every other record's
+// framework blanked so the fill path runs beside the pass-through one,
+// and requires the admitted body to decode to exactly the reference
+// edge's records.
 func TestDecodeBatchMatchesWALDecode(t *testing.T) {
+	s, pool := edgeServer(0), batch.NewPool(0)
 	for _, spec := range conformance.DefaultMatrix() {
 		t.Run(spec.Name, func(t *testing.T) {
-			recs := CorpusFor(spec)
-			cache := spell.NewLookupCache(len(recs) + 1)
+			recs := append([]logging.Record(nil), CorpusFor(spec)...)
 			for i := 0; i < len(recs); i += 2 {
-				cache.AddAux(recs[i].Message, nil, nil)
+				recs[i].Framework = ""
 			}
-			br := &batchResolver{intern: &wireIntern{}, cache: cache}
 			for lo := 0; lo < len(recs); lo += 512 {
 				body := wal.AppendBatch(nil, uint64(lo+1), recs[lo:min(lo+512, len(recs))])
-				_, got, err := decodeBatch(body, br, nil)
+				_, want, err := refFilterBatch(s, spec.Framework, body)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertPlainDecodeAgrees(t, body, got)
+				_, got, b, err := edgeFilterBatch(s, pool, spec.Framework, body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameEdge(t, got, want, b.N)
+				b.Release()
 			}
 		})
 	}

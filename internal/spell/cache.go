@@ -30,7 +30,7 @@ import (
 //
 // The cache is only sound while the parser's keys are no longer being
 // refined — i.e. after training, which is exactly when BindSession and
-// the detectors run. It is safe for concurrent use: GetAux, Peek and Len
+// the detectors run. It is safe for concurrent use: GetAux, Probe, Peek and Len
 // take the shared lock (a hit's visited bit and the counters are atomic),
 // AddAux the exclusive one.
 type LookupCache struct {
@@ -111,14 +111,37 @@ func (c *LookupCache) GetAux(msg string) (key *Key, aux any, hit bool) {
 	return key, aux, ok
 }
 
+// Probe is GetAux for raw message bytes: it counts the probe as a hit
+// or a miss, marks a hit's entry visited, and returns the canonical
+// stored string, so a hit costs no allocation at all. It is the serving
+// worker's one probe per record; its result is that record's resolve.
+func (c *LookupCache) Probe(msg []byte) (canon string, key *Key, aux any, hit bool) {
+	c.mu.RLock()
+	i, ok := c.m[string(msg)] // no-alloc lookup
+	if ok {
+		e := &c.slots[i]
+		if !e.visited.Load() {
+			e.visited.Store(true)
+		}
+		canon, key, aux = e.msg, e.key, e.aux
+	}
+	c.mu.RUnlock()
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return canon, key, aux, ok
+}
+
 // Peek probes the cache with raw message bytes, returning the canonical
 // stored string for msg on a hit. It is the zero-copy entry point of the
 // ingest path: a decoder holding a []byte view resolves it to the
 // interned rendering the model already owns without materializing a
 // string first (the map probe compiles to a no-alloc lookup). Peek takes
 // only the read lock and touches neither the visited bit nor the hit/miss
-// counters — it is a side-effect-free probe, so a decoder consulting it
-// ahead of detection does not double-count the record's real lookup.
+// counters — it is a side-effect-free probe for measurement and tests;
+// detection probes through Probe or GetAux.
 func (c *LookupCache) Peek(msg []byte) (canon string, key *Key, aux any, hit bool) {
 	c.mu.RLock()
 	i, ok := c.m[string(msg)] // no-alloc lookup

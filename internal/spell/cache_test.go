@@ -27,6 +27,17 @@ func TestLookupCacheHitMissAndNegative(t *testing.T) {
 	if hits != 2 || misses != 1 {
 		t.Fatalf("stats = %d/%d, want 2 hits / 1 miss", hits, misses)
 	}
+	// Probe is the same counted lookup by bytes, and a hit hands back the
+	// stored string.
+	if canon, got, _, hit := c.Probe([]byte("a")); !hit || got != k || canon != "a" {
+		t.Fatalf("Probe(a) = %q, %v, %v", canon, got, hit)
+	}
+	if _, _, _, hit := c.Probe([]byte("absent")); hit {
+		t.Fatal("Probe of an absent rendering reported a hit")
+	}
+	if hits, misses := c.Stats(); hits != 3 || misses != 2 {
+		t.Fatalf("stats after Probe = %d/%d, want 3 hits / 2 misses", hits, misses)
+	}
 }
 
 // addRenderings adds the renderings mlo … m(hi-1), each with its own key.

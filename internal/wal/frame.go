@@ -49,11 +49,18 @@ func Errf(format string, args ...any) error {
 //	...  body (n-5 bytes)
 //	u32  LE CRC-32 (IEEE) over type byte + body
 func AppendFrame(dst []byte, typ byte, body []byte) []byte {
-	n := 1 + len(body) + 4
+	return appendFrame2(dst, typ, nil, body)
+}
+
+// appendFrame2 is AppendFrame for a body given in two parts, so a WAL
+// entry's header and record bytes are copied once, into the frame.
+func appendFrame2(dst []byte, typ byte, head, body []byte) []byte {
+	n := 1 + len(head) + len(body) + 4
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	dst = append(dst, typ)
+	dst = append(dst, head...)
 	dst = append(dst, body...)
-	crc := crc32.ChecksumIEEE(dst[len(dst)-1-len(body):])
+	crc := crc32.ChecksumIEEE(dst[len(dst)-n+4:])
 	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
@@ -159,48 +166,130 @@ func AppendRecord(dst []byte, rec *logging.Record) []byte {
 // Batch frame body (seq numbers the frame) and the WAL entry body (seq
 // is the first record's sequence number).
 func AppendBatch(dst []byte, seq uint64, recs []logging.Record) []byte {
-	dst = binary.AppendUvarint(dst, seq)
-	dst = binary.AppendUvarint(dst, uint64(len(recs)))
+	dst = AppendBatchHeader(dst, seq, len(recs))
 	for i := range recs {
 		dst = AppendRecord(dst, &recs[i])
 	}
 	return dst
 }
 
+// AppendRecordView encodes a decoded view back into AppendRecord's
+// layout, with framework in place of v.Framework when the view has
+// none. It is AppendRecord for callers that hold byte views instead of
+// strings (the ingest edge filling a record's framework, the NDJSON fast
+// path encoding straight from its JSON literals).
+func AppendRecordView(dst []byte, v *RecordView, framework []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(v.Nano))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Offset))
+	dst = binary.AppendVarint(dst, int64(v.Level))
+	dst = appendBytes(dst, v.Source)
+	dst = appendBytes(dst, v.Message)
+	if len(v.Framework) > 0 {
+		framework = v.Framework
+	}
+	dst = appendBytes(dst, framework)
+	dst = appendBytes(dst, v.SessionID)
+	return appendBytes(dst, v.TemplateID)
+}
+
+func appendBytes(dst, b []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
+}
+
+// AppendBatchHeader starts a batch body: uvarint seq, uvarint record
+// count. Followed by count AppendRecord encodings it is exactly what
+// AppendBatch writes.
+func AppendBatchHeader(dst []byte, seq uint64, count int) []byte {
+	dst = binary.AppendUvarint(dst, seq)
+	return binary.AppendUvarint(dst, uint64(count))
+}
+
+// ParseBatchHeader splits a batch body into its seq, record count and
+// record bytes. The count is bounded by what the bytes could hold (each
+// record costs at least MinRecordBytes), so a hostile count is an error
+// rather than an allocation order; the records themselves are not
+// checked here.
+func ParseBatchHeader(p []byte) (seq uint64, count int, recs []byte, err error) {
+	seq, p, ok := Uvarint(p)
+	if !ok {
+		return 0, 0, nil, Errf("batch: bad seq")
+	}
+	n, p, ok := Uvarint(p)
+	if !ok {
+		return 0, 0, nil, Errf("batch: bad record count")
+	}
+	if n > uint64(len(p)/MinRecordBytes)+1 {
+		return 0, 0, nil, Errf("batch: record count %d exceeds body", n)
+	}
+	return seq, int(n), p, nil
+}
+
+// MinRecordBytes is the smallest AppendRecord encoding: 12 bytes of
+// time, one of level, and five empty length prefixes.
+const MinRecordBytes = 12 + 1 + 5
+
 // RecordView is one AppendRecord-encoded record decoded in place: the
 // five string fields are views into the encoded bytes, valid only as
-// long as those bytes are. It is the one decoder of the layout; each
-// caller picks how the views become strings (DecodeRecord plain-copies,
-// the serving wire interns and resolves against the lookup cache).
+// long as those bytes are, and the time stays in its wire form until
+// Time builds it. It is the one decoder of the layout; each caller picks
+// how the views become strings (DecodeRecord plain-copies, the serving
+// worker interns and resolves against the lookup cache) or whether they
+// become strings at all (the ingest edge only validates them).
 type RecordView struct {
-	Time  time.Time
-	Level logging.Level
+	Nano   int64 // UnixNano, or ZeroTimeNano for the zero time
+	Offset int32 // zone offset in seconds east of UTC
+	Level  logging.Level
 
 	Source, Message, Framework, SessionID, TemplateID []byte
 }
 
+// Zone remembers the last fixed zone Time built, so a run of records
+// sharing one non-UTC offset builds its *time.Location once instead of
+// once per record. The zero value is ready; it is not safe for
+// concurrent use.
+type Zone struct {
+	off int32
+	loc *time.Location
+}
+
+// Time builds the record's time. z may be nil.
+func (v *RecordView) Time(z *Zone) time.Time {
+	if v.Nano == ZeroTimeNano {
+		return time.Time{}
+	}
+	t := time.Unix(0, v.Nano)
+	if v.Offset == 0 {
+		return t.UTC()
+	}
+	if z == nil {
+		return t.In(time.FixedZone("", int(v.Offset)))
+	}
+	if z.loc == nil || z.off != v.Offset {
+		z.off, z.loc = v.Offset, time.FixedZone("", int(v.Offset))
+	}
+	return t.In(z.loc)
+}
+
+// Size is the record's string payload in bytes — what the ingest edge
+// judges against its per-record cap.
+func (v *RecordView) Size() int {
+	return len(v.Source) + len(v.Message) + len(v.Framework) + len(v.SessionID) + len(v.TemplateID)
+}
+
 // DecodeRecordView decodes one AppendRecord-encoded record into v and
-// returns the bytes after it.
+// returns the bytes after it. It allocates nothing.
 func DecodeRecordView(p []byte, v *RecordView) (rest []byte, err error) {
 	if len(p) < 12 {
 		return nil, Errf("record truncated")
 	}
-	nano := int64(binary.LittleEndian.Uint64(p))
-	off := int32(binary.LittleEndian.Uint32(p[8:]))
+	v.Nano = int64(binary.LittleEndian.Uint64(p))
+	v.Offset = int32(binary.LittleEndian.Uint32(p[8:]))
 	lvl, p, ok := Varint(p[12:])
 	if !ok {
 		return nil, Errf("record: bad level")
 	}
 	v.Level = logging.Level(lvl)
-	v.Time = time.Time{}
-	if nano != ZeroTimeNano {
-		t := time.Unix(0, nano)
-		if off == 0 {
-			v.Time = t.UTC()
-		} else {
-			v.Time = t.In(time.FixedZone("", int(off)))
-		}
-	}
 	if v.Source, p, ok = Bytes(p); !ok {
 		return nil, Errf("record: bad source")
 	}
@@ -219,21 +308,39 @@ func DecodeRecordView(p []byte, v *RecordView) (rest []byte, err error) {
 	return p, nil
 }
 
+// SkipRecords returns the bytes after the first n records of p,
+// checking each one decodes.
+func SkipRecords(p []byte, n int) ([]byte, error) {
+	var v RecordView
+	var err error
+	for i := 0; i < n; i++ {
+		if p, err = DecodeRecordView(p, &v); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
 // DecodeRecord decodes one AppendRecord-encoded record, plain-copying
-// every string (WAL replay and offline tools; the serving wire
+// every string (offline tools and tests; the serving worker
 // materializes DecodeRecordView's views itself).
 func DecodeRecord(p []byte) (rec logging.Record, rest []byte, err error) {
 	var v RecordView
 	if rest, err = DecodeRecordView(p, &v); err != nil {
 		return rec, nil, err
 	}
+	return v.Record(), rest, nil
+}
+
+// Record plain-copies the view into a logging.Record.
+func (v *RecordView) Record() logging.Record {
 	return logging.Record{
-		Time:       v.Time,
+		Time:       v.Time(nil),
 		Level:      v.Level,
 		Source:     string(v.Source),
 		Message:    string(v.Message),
 		Framework:  logging.Framework(v.Framework),
 		SessionID:  string(v.SessionID),
 		TemplateID: string(v.TemplateID),
-	}, rest, nil
+	}
 }

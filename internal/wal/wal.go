@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -108,7 +109,6 @@ type Log struct {
 	dirty    bool     // unsynced appends outstanding
 	lastSync time.Time
 	failed   error // sticky: a failed write poisons the log until reopen
-	buf      []byte
 	fbuf     []byte
 }
 
@@ -199,14 +199,27 @@ func (l *Log) TornBytes() int64 {
 	return l.torn
 }
 
-// Append durably logs a batch of records as one entry (split only if it
-// would overflow the frame cap) and advances Seq by len(recs). Whether
-// "durably" means fsynced is the sync policy's call; on return under
-// SyncAlways the records are on stable storage. A write failure is
-// sticky: the log refuses further appends so callers fail loudly
-// instead of acking records the disk silently dropped.
+// Append durably logs a batch of records as one entry. It is
+// AppendEncoded over the records' AppendRecord encodings.
 func (l *Log) Append(recs []logging.Record) error {
-	if len(recs) == 0 {
+	var body []byte
+	for i := range recs {
+		body = AppendRecord(body, &recs[i])
+	}
+	return l.AppendEncoded(len(recs), body)
+}
+
+// AppendEncoded durably logs count records, given as their
+// concatenated AppendRecord encodings, as one entry (split only if it
+// would overflow the frame cap) and advances Seq by count. The entry is
+// byte for byte what AppendBatch writes for the same records, so the
+// ingest path logs the encoding it received without re-encoding it.
+// Whether "durably" means fsynced is the sync policy's call; on return
+// under SyncAlways the records are on stable storage. A write failure
+// is sticky: the log refuses further appends so callers fail loudly
+// instead of acking records the disk silently dropped.
+func (l *Log) AppendEncoded(count int, recs []byte) error {
+	if count == 0 {
 		return nil
 	}
 	l.mu.Lock()
@@ -214,7 +227,7 @@ func (l *Log) Append(recs []logging.Record) error {
 	if l.failed != nil {
 		return fmt.Errorf("wal %s: disabled by earlier write failure: %w", l.dir, l.failed)
 	}
-	if err := l.appendLocked(recs); err != nil {
+	if err := l.appendLocked(count, recs); err != nil {
 		return err
 	}
 	switch l.opts.Sync {
@@ -228,18 +241,22 @@ func (l *Log) Append(recs []logging.Record) error {
 	return nil
 }
 
-func (l *Log) appendLocked(recs []logging.Record) error {
-	body := AppendBatch(l.buf[:0], l.seq+1, recs)
-	l.buf = body[:0]
-	if len(body)+9 > MaxFrame {
-		if len(recs) == 1 {
-			return Errf("record of %d bytes exceeds the frame cap", len(body))
+func (l *Log) appendLocked(count int, recs []byte) error {
+	var hb [2 * binary.MaxVarintLen64]byte
+	head := AppendBatchHeader(hb[:0], l.seq+1, count)
+	if len(head)+len(recs)+9 > MaxFrame {
+		if count == 1 {
+			return Errf("record of %d bytes exceeds the frame cap", len(recs))
 		}
-		half := len(recs) / 2
-		if err := l.appendLocked(recs[:half]); err != nil {
+		half := count / 2
+		rest, err := SkipRecords(recs, half)
+		if err != nil {
 			return err
 		}
-		return l.appendLocked(recs[half:])
+		if err := l.appendLocked(half, recs[:len(recs)-len(rest)]); err != nil {
+			return err
+		}
+		return l.appendLocked(count-half, rest)
 	}
 	if l.size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
@@ -247,14 +264,14 @@ func (l *Log) appendLocked(recs []logging.Record) error {
 			return err
 		}
 	}
-	frame := AppendFrame(l.fbuf[:0], frameEntry, body)
+	frame := appendFrame2(l.fbuf[:0], frameEntry, head, recs)
 	l.fbuf = frame[:0]
 	if _, err := l.f.Write(frame); err != nil {
 		l.failed = err
 		return err
 	}
 	l.size += int64(len(frame))
-	l.seq += uint64(len(recs))
+	l.seq += uint64(count)
 	l.dirty = true
 	return nil
 }
@@ -310,10 +327,31 @@ func (l *Log) syncLocked() error {
 }
 
 // ReplayAfter feeds every logged record with seq > cursor to fn, in
-// append order, entry by entry (entries that straddle the cursor are
-// trimmed to the uncovered suffix). Returns how many records fn saw. A
-// fn error aborts the replay.
+// append order, entry by entry, plain-copied into records. It is
+// ReplayEncoded plus a decode.
 func (l *Log) ReplayAfter(cursor uint64, fn func([]logging.Record) error) (uint64, error) {
+	var recs []logging.Record
+	return l.ReplayEncoded(cursor, func(count int, body []byte) error {
+		recs = recs[:0]
+		for i := 0; i < count; i++ {
+			rec, rest, err := DecodeRecord(body)
+			if err != nil {
+				return err
+			}
+			recs = append(recs, rec)
+			body = rest
+		}
+		return fn(recs)
+	})
+}
+
+// ReplayEncoded feeds every logged record with seq > cursor to fn, in
+// append order, entry by entry, as the entry's record count and its
+// concatenated AppendRecord encodings (entries that straddle the cursor
+// are trimmed to the uncovered suffix). body aliases a read buffer and
+// is valid only during the call. Returns how many records fn saw. A fn
+// error aborts the replay.
+func (l *Log) ReplayEncoded(cursor uint64, fn func(count int, body []byte) error) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var replayed uint64
@@ -324,15 +362,20 @@ func (l *Log) ReplayAfter(cursor uint64, fn func([]logging.Record) error) (uint6
 		if i == len(l.segments)-1 && l.seq <= cursor {
 			continue // active segment fully covered
 		}
-		_, _, _, err := scanSegment(l.segPath(first), first, func(entryFirst uint64, recs []logging.Record) error {
-			if len(recs) == 0 || entryFirst+uint64(len(recs))-1 <= cursor {
+		_, _, _, err := scanSegment(l.segPath(first), first, func(entryFirst uint64, count int, body []byte) error {
+			if count == 0 || entryFirst+uint64(count)-1 <= cursor {
 				return nil
 			}
 			if entryFirst <= cursor {
-				recs = recs[cursor-entryFirst+1:]
+				skip := int(cursor - entryFirst + 1)
+				rest, err := SkipRecords(body, skip)
+				if err != nil {
+					return err
+				}
+				count, body = count-skip, rest
 			}
-			replayed += uint64(len(recs))
-			return fn(recs)
+			replayed += uint64(count)
+			return fn(count, body)
 		})
 		if err != nil {
 			return replayed, err
@@ -401,13 +444,15 @@ func (l *Log) Close() error {
 	return err
 }
 
-// scanSegment walks one segment file from the start, fully decoding
-// each entry (frame envelope, CRC, seq contiguity from first, record
-// payloads) and calling fn — when non-nil — with its records. It stops
-// at the first byte that fails any of those checks: that is the torn
-// tail a crash mid-write leaves, reported as size-validOff, never an
-// error. Only real I/O failures (and fn errors) return non-nil.
-func scanSegment(path string, first uint64, fn func(entryFirst uint64, recs []logging.Record) error) (next uint64, validOff, size int64, err error) {
+// scanSegment walks one segment file from the start, checking each
+// entry (frame envelope, CRC, seq contiguity from first, every record
+// decoding with no bytes left over) and calling fn — when non-nil —
+// with its record count and record bytes, which alias the read buffer.
+// It stops at the first byte that fails any of those checks: that is
+// the torn tail a crash mid-write leaves, reported as size-validOff,
+// never an error. Only real I/O failures (and fn errors) return
+// non-nil.
+func scanSegment(path string, first uint64, fn func(entryFirst uint64, count int, body []byte) error) (next uint64, validOff, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return first, 0, 0, err
@@ -435,34 +480,19 @@ func scanSegment(path string, first uint64, fn func(entryFirst uint64, recs []lo
 		if typ != frameEntry {
 			return next, validOff, size, nil
 		}
-		entryFirst, p, ok := Uvarint(body)
-		if !ok || entryFirst != next {
+		entryFirst, count, recs, herr := ParseBatchHeader(body)
+		if herr != nil || entryFirst != next {
 			return next, validOff, size, nil
 		}
-		count, p, ok := Uvarint(p)
-		if !ok {
-			return next, validOff, size, nil
-		}
-		var recs []logging.Record
-		good := true
-		for i := uint64(0); i < count; i++ {
-			rec, rest, derr := DecodeRecord(p)
-			if derr != nil {
-				good = false
-				break
-			}
-			p = rest
-			recs = append(recs, rec)
-		}
-		if !good || len(p) != 0 {
+		if rest, derr := SkipRecords(recs, count); derr != nil || len(rest) != 0 {
 			return next, validOff, size, nil
 		}
 		if fn != nil {
-			if ferr := fn(entryFirst, recs); ferr != nil {
+			if ferr := fn(entryFirst, count, recs); ferr != nil {
 				return next, validOff, size, ferr
 			}
 		}
-		next += count
+		next += uint64(count)
 		validOff += int64(4 + 1 + len(body) + 4)
 	}
 }

@@ -55,6 +55,7 @@ if [ "${FUZZ:-0}" = "1" ]; then
 	go test -run '^$' -fuzz '^FuzzStreamConsume$' -fuzztime "$ft" ./internal/detect/
 	go test -run '^$' -fuzz '^FuzzCheckpointRoundTrip$' -fuzztime "$ft" ./internal/core/
 	go test -run '^$' -fuzz '^FuzzWireFrame$' -fuzztime "$ft" ./internal/server/
+	go test -run '^$' -fuzz '^FuzzNDJSONIngest$' -fuzztime "$ft" ./internal/server/
 	go test -run '^$' -fuzz '^FuzzWALSegment$' -fuzztime "$ft" ./internal/wal/
 	go test -run '^$' -fuzz '^FuzzCorpusLoader$' -fuzztime "$ft" ./internal/corpus/
 	go test -run '^$' -fuzz '^FuzzAnalyticsReads$' -fuzztime "$ft" ./internal/analytics/
