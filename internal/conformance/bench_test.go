@@ -152,25 +152,43 @@ func BenchmarkConformanceStreamDetect(b *testing.B) {
 // oracle's batched leg take.
 func BenchmarkConformanceConsumeBatch(b *testing.B) {
 	c, d := benchSetup(b)
+	benchConsumeBatch(b, "BenchmarkConformanceConsumeBatch", d, c.Records, detect.StreamConfig{})
+}
+
+// BenchmarkConformanceConsumeBatchIdle is BenchmarkConformanceConsumeBatch
+// with sessions ending mid-stream, as they do in serving: the corpus is
+// replayed twice, the second copy shifted past 2 × the 5-minute idle
+// timeout, so the replay's first record idles out every session of the
+// first copy in one burst and the replay's own sessions close in Flush.
+func BenchmarkConformanceConsumeBatchIdle(b *testing.B) {
+	c, d := benchSetup(b)
+	benchConsumeBatch(b, "BenchmarkConformanceConsumeBatchIdle", d, replayTwice(c.Records, burstIdle),
+		detect.StreamConfig{IdleTimeout: burstIdle})
+}
+
+// benchConsumeBatch streams recs through a fresh StreamDetector in
+// 512-record ConsumeBatch calls and a Flush per iteration, and archives
+// the run under name.
+func benchConsumeBatch(b *testing.B, name string, d *detect.Detector, recs []logging.Record, cfg detect.StreamConfig) {
 	const batch = 512
 	b.ReportAllocs()
 	b.ResetTimer()
 	ac := startAllocCount()
 	for i := 0; i < b.N; i++ {
-		sd := detect.NewStream(d, detect.StreamConfig{})
-		for recs := c.Records; len(recs) > 0; {
-			n := min(batch, len(recs))
-			sd.ConsumeBatch(recs[:n], 0)
-			recs = recs[n:]
+		sd := detect.NewStream(d, cfg)
+		for rest := recs; len(rest) > 0; {
+			n := min(batch, len(rest))
+			sd.ConsumeBatch(rest[:n], 0)
+			rest = rest[n:]
 		}
 		sd.Flush()
 	}
-	allocsPerRecord := ac.perRecord(len(c.Records) * b.N)
-	logsPerSec := float64(len(c.Records)*b.N) / b.Elapsed().Seconds()
+	allocsPerRecord := ac.perRecord(len(recs) * b.N)
+	logsPerSec := float64(len(recs)*b.N) / b.Elapsed().Seconds()
 	b.ReportMetric(logsPerSec, "logs/sec")
-	writeDetectBenchJSON(b, "BenchmarkConformanceConsumeBatch", map[string]float64{
+	writeDetectBenchJSON(b, name, map[string]float64{
 		"logs_per_sec":      logsPerSec,
-		"logs_per_op":       float64(len(c.Records)),
+		"logs_per_op":       float64(len(recs)),
 		"allocs_per_record": allocsPerRecord,
 	})
 }

@@ -43,6 +43,10 @@ type StreamConfig struct {
 // it. Idle expiry is driven by a min-heap keyed by last-record time, so
 // consuming a record costs O(log sessions) in the worst case and O(1)
 // when nothing is idle — there is no per-record scan of the session table.
+// The sessions one record closes (idle expiry can close many at once,
+// plus at most one cap eviction) are checked concurrently, as Flush's
+// are, and their findings are emitted in a fixed order: the eviction
+// first, then the expired sessions oldest first, then the record's own.
 type StreamDetector struct {
 	cfg StreamConfig
 	d   *Detector
@@ -421,20 +425,24 @@ func (s *StreamDetector) consumeResolved(out []Anomaly, rec logging.Record, key 
 	s.mu.Unlock()
 
 	// Finalize outside the lock: the bufs are out of the table, so they are
-	// exclusively owned here and go back to the pool once checked.
+	// exclusively owned here and go back to the pool once checked. The
+	// findings splice in a fixed order — the eviction's Overflow, the
+	// evicted session's findings, the expired sessions oldest first, then
+	// the record's own — however the checks were scheduled.
 	n := len(out)
+	closed := expired
 	if evicted != nil {
 		out = append(out, Anomaly{
 			At:      evicted.last,
 			Session: evicted.id, Kind: Overflow,
 			Detail: fmt.Sprintf("session %q force-closed: %d in-flight sessions reached the cap", evicted.id, s.cfg.MaxSessions),
 		})
-		out = append(out, s.finalize(evicted)...)
-		releaseSessionBuf(evicted)
+		closed = append([]*sessionBuf{evicted}, expired...)
 	}
-	for _, b := range expired {
-		out = append(out, s.finalize(b)...)
-		releaseSessionBuf(b)
+	if len(closed) > 0 {
+		for _, found := range s.finalizeEach(closed) {
+			out = append(out, found...)
+		}
 	}
 	if hasOwn {
 		out = append(out, own)
@@ -496,11 +504,28 @@ func (s *StreamDetector) evictOldestLocked() *sessionBuf {
 	return nil
 }
 
-// finalize runs the end-of-session structural checks on an owned buffer.
-func (s *StreamDetector) finalize(buf *sessionBuf) []Anomaly {
-	scr := s.d.getScratch()
-	defer s.d.putScratch(scr)
-	return s.d.checkInstances(buf.id, buf.last, buf.msgs, scr)
+// finalizeEach runs the end-of-session structural checks on bufs — owned
+// buffers, already out of the table — and returns each buffer's findings
+// in its own slot, so callers splice them in bufs order whatever order
+// the checks finished in. Each buffer goes back to the pool once checked.
+// Several buffers fan out over up to par.Workers() goroutines, each
+// taking the next unchecked buffer (sessions differ widely in size) with
+// one pooled scratch; a single buffer is checked on the calling
+// goroutine.
+func (s *StreamDetector) finalizeEach(bufs []*sessionBuf) [][]Anomaly {
+	found := make([][]Anomaly, len(bufs))
+	workers := min(par.Workers(), len(bufs))
+	var next atomic.Int64
+	par.ForEach(workers, workers, func(int) {
+		scr := s.d.getScratch()
+		defer s.d.putScratch(scr)
+		for i := int(next.Add(1) - 1); i < len(bufs); i = int(next.Add(1) - 1) {
+			b := bufs[i]
+			found[i] = s.d.checkInstances(b.id, b.last, b.msgs, scr)
+			releaseSessionBuf(b)
+		}
+	})
+	return found
 }
 
 // CloseSession finalizes one session and returns its structural findings.
@@ -512,9 +537,7 @@ func (s *StreamDetector) CloseSession(id string) []Anomaly {
 	if !ok {
 		return nil
 	}
-	out := s.finalize(buf)
-	releaseSessionBuf(buf)
-	return s.stamp(out)
+	return s.stamp(s.finalizeEach([]*sessionBuf{buf})[0])
 }
 
 // Flush finalizes every in-flight session (end of stream) and returns the
@@ -538,13 +561,8 @@ func (s *StreamDetector) Flush() *Report {
 		}
 		return bufs[i].startSeq < bufs[j].startSeq
 	})
-	perSession := make([][]Anomaly, len(bufs))
-	par.ForEachIndex(len(bufs), func(i int) {
-		perSession[i] = s.finalize(bufs[i])
-		releaseSessionBuf(bufs[i])
-	})
-	for _, anomalies := range perSession {
-		r.Anomalies = append(r.Anomalies, anomalies...)
+	for _, found := range s.finalizeEach(bufs) {
+		r.Anomalies = append(r.Anomalies, found...)
 	}
 	// Stamp after the parallel finalize, in report order, so Flush
 	// findings extend the stream's emission sequence monotonically.

@@ -128,6 +128,9 @@ func refClassifyLine(s *Server, t *tenant, raw []byte, fw logging.Framework, f l
 		if !ok {
 			return logging.Record{}, lineSkip, ""
 		}
+		if err := wal.CheckTime(rec.Time); err != nil {
+			return logging.Record{}, lineDead, err.Error()
+		}
 		return rec, lineRecord, ""
 	}
 	rec := wr.Record
@@ -136,6 +139,9 @@ func refClassifyLine(s *Server, t *tenant, raw []byte, fw logging.Framework, f l
 		return logging.Record{}, lineDead, "record has no message (and no raw line)"
 	case rec.SessionID == "":
 		return logging.Record{}, lineSkip, ""
+	}
+	if err := wal.CheckTime(rec.Time); err != nil {
+		return logging.Record{}, lineDead, err.Error()
 	}
 	if rec.Framework == "" {
 		rec.Framework = fw
@@ -165,10 +171,9 @@ func refNDJSON(s *Server, fw logging.Framework, lines [][]byte) edgeResult {
 		rec, verdict, reason := refClassifyLine(s, t, raw, fw, f)
 		switch verdict {
 		case lineRecord:
-			// A record's time reaches the detector as the record encoding
-			// carries it (UnixNano and a zone offset), on both wires and
-			// at WAL replay.
-			rec, _, _ = wal.DecodeRecord(wal.AppendRecord(nil, &rec))
+			if rec.Time.IsZero() {
+				rec.Time = time.Time{} // the zero-time sentinel carries no zone
+			}
 			res.kept = append(res.kept, rec)
 		case lineSkip:
 			res.skipped++

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -300,4 +302,63 @@ func FuzzNDJSONIngest(f *testing.F) {
 		assertSameEdge(t, got, want, b.N)
 		b.Release()
 	})
+}
+
+// TestNDJSONEdgeRefusesUnencodableTime: a structured record whose time
+// the record encoding cannot carry is dead-lettered with a reason naming
+// the time, on the fast path's shape and on the encoding/json fallback's
+// alike, instead of reaching the detector with a wrapped time (year 3000
+// would decode as 1830). Its in-range neighbours, and a record with no
+// time, are kept.
+func TestNDJSONEdgeRefusesUnencodableTime(t *testing.T) {
+	s := edgeServer(1 << 10)
+	pool := batch.NewPool(0)
+	lines := [][]byte{
+		[]byte(`{"Time":"3000-01-01T00:00:00Z","Message":"late","SessionID":"s"}`),
+		[]byte(`{"Time":"2026-03-01T12:00:00Z","Message":"ok","SessionID":"s"}`),
+		[]byte(`{"Time":"1500-06-01T00:00:00+02:00","Message":"with \"escape\"","SessionID":"s"}`),
+		[]byte(`{"Message":"no time","SessionID":"s"}`),
+		[]byte(`{"Time":"2262-04-12T00:00:00Z","Message":"é","SessionID":"s"}`),
+	}
+	var wv wireView
+	if fastWireRecord(lines[0], &wv) {
+		t.Fatal("the fast path accepted a time the record encoding cannot carry")
+	}
+	got, b := edgeNDJSON(s, pool, logging.Spark, lines)
+	defer b.Release()
+	if len(got.kept) != 2 || got.kept[0].Message != "ok" || got.kept[1].Message != "no time" {
+		t.Fatalf("kept %+v, want the in-range record and the one with no time", got.kept)
+	}
+	if len(got.dead) != 3 {
+		t.Fatalf("dead-lettered %d records, want 3", len(got.dead))
+	}
+	for i, want := range []string{"3000-01-01T00:00:00Z", "1500-06-01T00:00:00+02:00", "2262-04-12T00:00:00Z"} {
+		if d := got.dead[i]; !strings.Contains(d.Reason, "record time "+want+" is outside the encodable range") {
+			t.Fatalf("dead letter %d reason %q, want one naming %s", i, d.Reason, want)
+		}
+	}
+	assertSameEdge(t, got, refNDJSON(s, logging.Spark, lines), b.N)
+}
+
+// TestStreamSendRefusesUnencodableTime: the ILS1 client refuses a batch
+// holding a time the record encoding cannot carry before it writes a
+// frame or spends a sequence number — the server only ever sees the
+// encoded, wrapped time — and so does ReplayStream, before it dials.
+func TestStreamSendRefusesUnencodableTime(t *testing.T) {
+	var wire bytes.Buffer
+	sc := &StreamConn{bw: bufio.NewWriter(&wire)}
+	recs := sparkRecs("sess-a", 3)
+	recs[2].Time = time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)
+	_, err := sc.Send(recs)
+	if err == nil || !strings.Contains(err.Error(), "record 2: record time 3000-01-01T00:00:00Z") {
+		t.Fatalf("Send = %v, want an error naming record 2's time", err)
+	}
+	if sc.bw.Buffered() != 0 || wire.Len() != 0 || sc.seq != 0 {
+		t.Fatalf("refused Send wrote %d+%d bytes and took seq %d", sc.bw.Buffered(), wire.Len(), sc.seq)
+	}
+	c := &Client{Tenant: "acme"}
+	if _, err := c.ReplayStream("127.0.0.1:1", recs, StreamReplayOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "outside the encodable range") {
+		t.Fatalf("ReplayStream = %v, want the time refusal", err)
+	}
 }

@@ -280,11 +280,12 @@ const (
 )
 
 // classifyLine runs per-record ingest validation on one NDJSON wire
-// line — size cap, JSON shape, raw-line parse, message presence — and
-// appends a valid record's encoding to b. It is shared by /v1/ingest
-// and /v1/dlq/requeue, so a requeued entry faces exactly the rules live
-// traffic does. A structured line on the fast path is encoded straight
-// from its JSON byte views; everything else goes through a Record.
+// line — size cap, JSON shape, raw-line parse, message presence, a time
+// the record encoding can carry — and appends a valid record's encoding
+// to b. It is shared by /v1/ingest and /v1/dlq/requeue, so a requeued
+// entry faces exactly the rules live traffic does. A structured line on
+// the fast path is encoded straight from its JSON byte views; everything
+// else (a time out of range included) goes through a Record.
 func (s *Server) classifyLine(t *tenant, raw []byte, fw logging.Framework,
 	formatter logging.Formatter, b *batch.Batch) (lineVerdict, string) {
 	if len(raw) > s.cfg.MaxRecordBytes {
@@ -312,6 +313,9 @@ func (s *Server) classifyLine(t *tenant, raw []byte, fw logging.Framework,
 			rec := wr.Record
 			verdict, reason := checkRecord(rec.Message == "", rec.SessionID == "")
 			if verdict == lineRecord {
+				if err := wal.CheckTime(rec.Time); err != nil {
+					return lineDead, err.Error()
+				}
 				if rec.Framework == "" {
 					rec.Framework = fw
 				}
@@ -324,6 +328,9 @@ func (s *Server) classifyLine(t *tenant, raw []byte, fw logging.Framework,
 	rec, ok := t.parseLine(formatter, line)
 	if !ok {
 		return lineSkip, ""
+	}
+	if err := wal.CheckTime(rec.Time); err != nil {
+		return lineDead, err.Error()
 	}
 	b.Append(rec)
 	return lineRecord, ""

@@ -95,7 +95,14 @@ func (sc *StreamConn) readAck() (streamAck, error) {
 // queue returns ErrQueueFull carrying the server's backoff hint;
 // calling Send again retransmits under the refused sequence number, as
 // the protocol's ordering contract requires.
+//
+// A record whose time the record encoding cannot carry (wal.CheckTime)
+// fails the call before any frame is written: the server only sees the
+// encoded time, and would take the wrapped instant for the real one.
 func (sc *StreamConn) Send(recs []logging.Record) (IngestResponse, error) {
+	if err := checkRecordTimes(recs); err != nil {
+		return IngestResponse{}, err
+	}
 	if !sc.refused {
 		sc.seq++
 	}
@@ -123,6 +130,17 @@ func (sc *StreamConn) Send(recs []logging.Record) (IngestResponse, error) {
 		sc.refused = true
 		return IngestResponse{}, fmt.Errorf("stream ingest refused (%d): %s", ack.Status, ack.Msg)
 	}
+}
+
+// checkRecordTimes returns the first record time in recs that the
+// record encoding cannot carry, as an error naming the record.
+func checkRecordTimes(recs []logging.Record) error {
+	for i := range recs {
+		if err := wal.CheckTime(recs[i].Time); err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // StreamReplayOptions tunes a binary-protocol load replay.
@@ -159,6 +177,9 @@ func (c *Client) ReplayStream(addr string, recs []logging.Record, opts StreamRep
 		opts.MaxRetries = 50
 	}
 
+	if err := checkRecordTimes(recs); err != nil {
+		return ReplayResult{}, err
+	}
 	shards := partitionBySession(recs, opts.Concurrency)
 
 	type workerStat struct {

@@ -171,6 +171,9 @@ func fastWireRecord(raw []byte, wv *wireView) bool {
 				if err := at.UnmarshalJSON(raw[quote:i]); err != nil {
 					return false
 				}
+				if wal.CheckTime(at) != nil {
+					return false // the fallback dead-letters it
+				}
 				wv.Nano, wv.Offset = wal.ZeroTimeNano, 0
 				if !at.IsZero() {
 					_, off := at.Zone()

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"time"
 
 	"intellog/internal/logging"
@@ -32,6 +33,25 @@ const MaxFrame = 64 << 20
 // whose UnixNano is undefined (year 1 is outside the int64-nanosecond
 // range).
 const ZeroTimeNano = int64(-1 << 63)
+
+// The instants AppendRecord can carry: UnixNano is defined only from
+// math.MinInt64 to math.MaxInt64 nanoseconds, and the lowest of those is
+// ZeroTimeNano, so a record there would decode as the zero time.
+var (
+	minRecordTime = time.Unix(0, ZeroTimeNano+1).UTC()
+	maxRecordTime = time.Unix(0, math.MaxInt64).UTC()
+)
+
+// CheckTime reports, as an error naming t, a non-zero time AppendRecord
+// cannot carry: outside 1677-09-21 to 2262-04-11 UnixNano wraps, so year
+// 3000 would decode as 1830. The zero time is always valid.
+func CheckTime(t time.Time) error {
+	if t.IsZero() || (!t.Before(minRecordTime) && !t.After(maxRecordTime)) {
+		return nil
+	}
+	return fmt.Errorf("record time %s is outside the encodable range %s to %s",
+		t.Format(time.RFC3339Nano), minRecordTime.Format(time.RFC3339Nano), maxRecordTime.Format(time.RFC3339Nano))
+}
 
 // ErrWire marks protocol-level decode failures (distinct from I/O
 // errors, which pass through unwrapped).
@@ -142,7 +162,8 @@ func AppendString(dst []byte, s string) []byte {
 // sentinel for the zero time), varint level, then uvarint-prefixed raw
 // source/message/framework/session/template bytes. UnixNano plus offset
 // round-trips everything RFC3339 can express (the JSON wire form's
-// fidelity). The same bytes travel in wire Batch frames and WAL entries.
+// fidelity), for every time CheckTime accepts. The same bytes travel in
+// wire Batch frames and WAL entries.
 func AppendRecord(dst []byte, rec *logging.Record) []byte {
 	nano := ZeroTimeNano
 	off := 0

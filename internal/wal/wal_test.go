@@ -2,8 +2,10 @@ package wal
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -419,5 +421,38 @@ func TestAppendEncodedMatchesAppend(t *testing.T) {
 	}
 	for i := range got {
 		sameRecord(t, got[i], all[cursor+i])
+	}
+}
+
+// TestCheckTimeBounds: CheckTime accepts exactly the times the record
+// encoding round-trips — the zero time and the UnixNano range above the
+// zero-time sentinel — and names the time it refuses.
+func TestCheckTimeBounds(t *testing.T) {
+	lo, hi := time.Unix(0, ZeroTimeNano+1).UTC(), time.Unix(0, math.MaxInt64).UTC()
+	for _, at := range []time.Time{{}, lo, hi, time.Unix(1700000000, 5).In(time.FixedZone("", 5*3600+1800))} {
+		if err := CheckTime(at); err != nil {
+			t.Fatalf("CheckTime(%v) = %v, want nil", at, err)
+		}
+		rec := logging.Record{Time: at, Message: "m", SessionID: "s"}
+		got, _, err := DecodeRecord(AppendRecord(nil, &rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, goff := got.Time.Zone()
+		_, woff := at.Zone()
+		if !got.Time.Equal(at) || goff != woff || got.Time.IsZero() != at.IsZero() {
+			t.Fatalf("%v decodes as %v", at, got.Time)
+		}
+	}
+	for _, at := range []time.Time{
+		lo.Add(-time.Nanosecond), // UnixNano is the zero-time sentinel
+		hi.Add(time.Nanosecond),
+		time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC), // would decode as 1830
+		time.Date(1500, 1, 1, 0, 0, 0, 0, time.UTC),
+	} {
+		err := CheckTime(at)
+		if err == nil || !strings.Contains(err.Error(), at.Format(time.RFC3339Nano)) {
+			t.Fatalf("CheckTime(%v) = %v, want an error naming the time", at, err)
+		}
 	}
 }
