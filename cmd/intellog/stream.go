@@ -100,7 +100,7 @@ func cmdStream(args []string) error {
 	if *checkpoint != "" {
 		if f, err := os.Open(*checkpoint); err == nil {
 			var st *detect.StreamState
-			m, st, cursor, err = core.LoadCheckpointAt(f)
+			m, st, cursor, _, err = core.LoadCheckpointState(f)
 			f.Close()
 			if err != nil {
 				return fmt.Errorf("resume %s: %w", *checkpoint, err)
@@ -177,7 +177,7 @@ func cmdStream(args []string) error {
 		}
 		st := sd.State()
 		st.Sticky = assigner.Current()
-		if err := core.SaveCheckpointAt(f, m, st, at); err != nil {
+		if err := core.SaveCheckpointState(f, m, st, at, nil); err != nil {
 			f.Close()
 			return err
 		}

@@ -106,21 +106,11 @@ type checkpointJSON struct {
 // checkpointVersion guards checkpoint format compatibility.
 const checkpointVersion = 1
 
-// SaveCheckpoint writes a streaming checkpoint: the model and the
-// in-flight state of its stream detector (from StreamDetector.State).
-func SaveCheckpoint(w io.Writer, m *Model, st *detect.StreamState) error {
-	return SaveCheckpointAt(w, m, st, 0)
-}
-
-// SaveCheckpointAt is SaveCheckpoint with an input-stream cursor (see
-// checkpointJSON.Cursor); zero means "resume from wherever the caller's
-// input begins".
-func SaveCheckpointAt(w io.Writer, m *Model, st *detect.StreamState, cursor int64) error {
-	return SaveCheckpointState(w, m, st, cursor, nil)
-}
-
-// SaveCheckpointState is SaveCheckpointAt with an opaque serving-layer
-// analytics payload (see checkpointJSON.Analytics); nil omits it. The
+// SaveCheckpointState writes a streaming checkpoint: the model, the
+// in-flight state of its stream detector (from StreamDetector.State), an
+// input-stream cursor (see checkpointJSON.Cursor; zero means "resume
+// from wherever the caller's input begins") and an opaque serving-layer
+// analytics payload (see checkpointJSON.Analytics; nil omits it). The
 // JSON is compact: a checkpoint is a recovery file, not a queryable
 // artifact, and indenting it costs a second pass and a second full-size
 // buffer. Checkpoints written indented by earlier versions still load.
@@ -134,22 +124,11 @@ func SaveCheckpointState(w io.Writer, m *Model, st *detect.StreamState, cursor i
 	})
 }
 
-// LoadCheckpoint restores a checkpoint written by SaveCheckpoint. The
-// returned stream state is handed to RestoreStream (or directly to
-// detect.RestoreStreamDetector) to resume consumption.
-func LoadCheckpoint(r io.Reader) (*Model, *detect.StreamState, error) {
-	m, st, _, err := LoadCheckpointAt(r)
-	return m, st, err
-}
-
-// LoadCheckpointAt is LoadCheckpoint plus the stored input cursor.
-func LoadCheckpointAt(r io.Reader) (*Model, *detect.StreamState, int64, error) {
-	m, st, cursor, _, err := LoadCheckpointState(r)
-	return m, st, cursor, err
-}
-
-// LoadCheckpointState is LoadCheckpointAt plus the opaque analytics
-// payload; nil when the checkpoint predates the analytics layer.
+// LoadCheckpointState restores a checkpoint written by
+// SaveCheckpointState: the model, the stream state to hand to
+// RestoreStream (or directly to detect.RestoreStreamDetector), the
+// input cursor, and the analytics payload (nil when the checkpoint
+// predates the analytics layer).
 func LoadCheckpointState(r io.Reader) (*Model, *detect.StreamState, int64, []byte, error) {
 	var in checkpointJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {

@@ -76,8 +76,8 @@ func checkpointCorpus() []logging.Record {
 }
 
 // TestCheckpointRestoreByteIdenticalReport kills a streaming detector
-// mid-corpus, persists model + in-flight state through SaveCheckpoint,
-// restores both in a "new process" via LoadCheckpoint, and finishes the
+// mid-corpus, persists model + in-flight state through SaveCheckpointState,
+// restores both in a "new process" via LoadCheckpointState, and finishes the
 // corpus: every finding and the final summary must be byte-identical to
 // an uninterrupted run.
 func TestCheckpointRestoreByteIdenticalReport(t *testing.T) {
@@ -114,12 +114,12 @@ func TestCheckpointRestoreByteIdenticalReport(t *testing.T) {
 		all = append(all, sd.Consume(r)...)
 	}
 	var ckpt bytes.Buffer
-	if err := SaveCheckpoint(&ckpt, m, sd.State()); err != nil {
-		t.Fatalf("SaveCheckpoint: %v", err)
+	if err := SaveCheckpointState(&ckpt, m, sd.State(), 0, nil); err != nil {
+		t.Fatalf("SaveCheckpointState: %v", err)
 	}
-	m2, st, err := LoadCheckpoint(&ckpt)
+	m2, st, _, _, err := LoadCheckpointState(&ckpt)
 	if err != nil {
-		t.Fatalf("LoadCheckpoint: %v", err)
+		t.Fatalf("LoadCheckpointState: %v", err)
 	}
 	sd2, err := m2.RestoreStream(cfg, st)
 	if err != nil {
@@ -150,22 +150,22 @@ func TestCheckpointCursorRoundTrip(t *testing.T) {
 	m := trainMini(t)
 	sd := detect.NewStream(m.Detector(), detect.StreamConfig{})
 	var buf bytes.Buffer
-	if err := SaveCheckpointAt(&buf, m, sd.State(), 4242); err != nil {
-		t.Fatalf("SaveCheckpointAt: %v", err)
+	if err := SaveCheckpointState(&buf, m, sd.State(), 4242, nil); err != nil {
+		t.Fatalf("SaveCheckpointState: %v", err)
 	}
-	if _, _, cur, err := LoadCheckpointAt(&buf); err != nil || cur != 4242 {
-		t.Fatalf("LoadCheckpointAt = cursor %d, err %v; want 4242, nil", cur, err)
+	if _, _, cur, _, err := LoadCheckpointState(&buf); err != nil || cur != 4242 {
+		t.Fatalf("LoadCheckpointState = cursor %d, err %v; want 4242, nil", cur, err)
 	}
 }
 
 func TestCheckpointRejectsBadInput(t *testing.T) {
-	if _, _, err := LoadCheckpoint(strings.NewReader("{")); err == nil {
+	if _, _, _, _, err := LoadCheckpointState(strings.NewReader("{")); err == nil {
 		t.Error("truncated checkpoint accepted")
 	}
-	if _, _, err := LoadCheckpoint(strings.NewReader(`{"version": 99}`)); err == nil {
+	if _, _, _, _, err := LoadCheckpointState(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("wrong version accepted")
 	}
-	if _, _, err := LoadCheckpoint(strings.NewReader(`{"version": 1}`)); err == nil {
+	if _, _, _, _, err := LoadCheckpointState(strings.NewReader(`{"version": 1}`)); err == nil {
 		t.Error("checkpoint without stream state accepted")
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // StreamState is a serializable snapshot of a StreamDetector's in-flight
-// state. Together with the trained model (see core.SaveCheckpoint) it is
+// state. Together with the trained model (see core.SaveCheckpointState) it is
 // everything a restarted process needs to resume mid-stream and produce
 // the same final report as an uninterrupted run.
 //

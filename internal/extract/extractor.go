@@ -116,17 +116,6 @@ func prevWordTag(tokens []nlp.Token, i int) (string, string) {
 	return "", ""
 }
 
-// entityPhraseFromWord lower-cases and lemmatizes an identifier prefix
-// into an entity phrase ("fetcher" → "fetcher", "MapTask" → "map task").
-func entityPhraseFromWord(w string) string {
-	if nlp.IsCamel(w) {
-		parts := nlp.SplitCamel(w)
-		parts[len(parts)-1] = nlp.Lemma(parts[len(parts)-1], nlp.TagNNS)
-		return strings.Join(parts, " ")
-	}
-	return nlp.Lemma(strings.ToLower(w), nlp.TagNNS)
-}
-
 // hasProseShape reports whether the constant text reads as prose even
 // without a predicate: it contains a preposition or determiner among
 // ordinary words. Key-value dumps fail this test.
@@ -143,13 +132,4 @@ func hasProseShape(tokens []nlp.Token, skip map[int]bool) bool {
 		}
 	}
 	return hasFunc && words >= 3
-}
-
-func containsString(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

@@ -144,23 +144,6 @@ func allDigitsStr(s string) bool {
 	return true
 }
 
-// isAtomicField reports whether field should never be split further.
-func isAtomicField(field string) bool {
-	if strings.Contains(field, "://") || strings.HasPrefix(field, "/") {
-		return true // URL or absolute path
-	}
-	if strings.ContainsAny(field, "_#") {
-		return true // identifier convention: attempt_01, fetcher#1
-	}
-	if isHostPort(field) || isIPAddr(field) {
-		return true
-	}
-	if hasDigit(field) && !strings.Contains(field, "=") {
-		return true // mixed alphanumerics, versions, decimals
-	}
-	return false
-}
-
 func hasDigit(s string) bool {
 	for _, r := range s {
 		if unicode.IsDigit(r) {

@@ -72,79 +72,39 @@ func partitionBySession(recs []logging.Record, n int) [][]logging.Record {
 	return parts
 }
 
-// Replay streams the records to the server in batches, honoring 429
-// backpressure (sleep Retry-After, retry the same batch). Records are
-// partitioned across workers by session so per-session order is
-// preserved at any concurrency.
-func (c *Client) Replay(recs []logging.Record, opts ReplayOptions) (ReplayResult, error) {
-	if opts.Batch <= 0 {
-		opts.Batch = 256
-	}
-	if opts.Concurrency <= 0 {
-		opts.Concurrency = 1
-	}
-	if opts.MaxRetries <= 0 {
-		opts.MaxRetries = 50
-	}
+// replayStats is one replay worker's tally.
+type replayStats struct {
+	records, batches, rejected int
+	latencies                  []time.Duration
+}
 
-	shards := partitionBySession(recs, opts.Concurrency)
-
-	type workerStat struct {
-		records, batches, rejected int
-		latencies                  []time.Duration
-		err                        error
-	}
-	stats := make([]workerStat, opts.Concurrency)
+// replayShards runs a replay for either wire: it partitions recs
+// across conc workers by session, runs send on each non-empty part in
+// its own goroutine (w is the worker's index), and aggregates their
+// stats into one result. The first worker error fails the replay.
+func replayShards(recs []logging.Record, conc int, send func(w int, recs []logging.Record, st *replayStats) error) (ReplayResult, error) {
+	shards := partitionBySession(recs, conc)
+	stats := make([]replayStats, conc)
+	errs := make([]error, conc)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < opts.Concurrency; w++ {
-		if len(shards[w]) == 0 {
+	for w, part := range shards {
+		if len(part) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(w int, recs []logging.Record) {
+		go func() {
 			defer wg.Done()
-			st := &stats[w]
-			rng := rand.New(rand.NewSource(int64(w) + 1))
-			for off := 0; off < len(recs); off += opts.Batch {
-				end := off + opts.Batch
-				if end > len(recs) {
-					end = len(recs)
-				}
-				batch := recs[off:end]
-				retries := 0
-				for {
-					t0 := time.Now()
-					resp, err := c.IngestRecords(batch)
-					st.latencies = append(st.latencies, time.Since(t0))
-					if qf, ok := err.(ErrQueueFull); ok {
-						st.rejected++
-						retries++
-						if retries > opts.MaxRetries {
-							st.err = fmt.Errorf("batch still refused after %d retries: %w", opts.MaxRetries, err)
-							return
-						}
-						retrySleep(retryDelay(qf.RetryAfter, rng))
-						continue
-					}
-					if err != nil {
-						st.err = err
-						return
-					}
-					st.records += resp.Accepted
-					st.batches++
-					break
-				}
-			}
-		}(w, shards[w])
+			errs[w] = send(w, part, &stats[w])
+		}()
 	}
 	wg.Wait()
 
 	res := ReplayResult{Duration: time.Since(start)}
 	var lat []time.Duration
 	for i := range stats {
-		if stats[i].err != nil {
-			return res, stats[i].err
+		if errs[i] != nil {
+			return res, errs[i]
 		}
 		res.Records += stats[i].records
 		res.Batches += stats[i].batches
@@ -160,4 +120,46 @@ func (c *Client) Replay(recs []logging.Record, opts ReplayOptions) (ReplayResult
 		res.RecPerSec = float64(res.Records) / secs
 	}
 	return res, nil
+}
+
+// Replay streams the records to the server in batches, honoring 429
+// backpressure (sleep Retry-After, retry the same batch). Records are
+// partitioned across workers by session so per-session order is
+// preserved at any concurrency.
+func (c *Client) Replay(recs []logging.Record, opts ReplayOptions) (ReplayResult, error) {
+	if opts.Batch <= 0 {
+		opts.Batch = 256
+	}
+	if opts.Concurrency <= 0 {
+		opts.Concurrency = 1
+	}
+	if opts.MaxRetries <= 0 {
+		opts.MaxRetries = 50
+	}
+	return replayShards(recs, opts.Concurrency, func(w int, recs []logging.Record, st *replayStats) error {
+		rng := rand.New(rand.NewSource(int64(w) + 1))
+		for off := 0; off < len(recs); off += opts.Batch {
+			batch := recs[off:min(off+opts.Batch, len(recs))]
+			for retries := 0; ; retries++ {
+				t0 := time.Now()
+				resp, err := c.IngestRecords(batch)
+				st.latencies = append(st.latencies, time.Since(t0))
+				if qf, ok := err.(ErrQueueFull); ok {
+					st.rejected++
+					if retries == opts.MaxRetries {
+						return fmt.Errorf("batch still refused after %d retries: %w", opts.MaxRetries, err)
+					}
+					retrySleep(retryDelay(qf.RetryAfter, rng))
+					continue
+				}
+				if err != nil {
+					return err
+				}
+				st.records += resp.Accepted
+				st.batches++
+				break
+			}
+		}
+		return nil
+	})
 }

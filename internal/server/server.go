@@ -5,7 +5,7 @@
 // queried back through cursor-paginated anomaly, report and HW-graph
 // endpoints. Production concerns are first-class: per-tenant bounded
 // ingest queues with 429 admission control, a background checkpointer
-// built on core.SaveCheckpoint so a restart resumes mid-stream, an LRU
+// built on core.SaveCheckpointState so a restart resumes mid-stream, an LRU
 // cap on resident tenants, Prometheus metrics and pprof.
 package server
 

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -21,16 +20,7 @@ func bootStreamServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	if cfg.ModelDir == "" {
 		cfg.ModelDir = t.TempDir()
-		f, err := os.Create(filepath.Join(cfg.ModelDir, "acme.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := conformance.ModelFor(logging.Spark).Save(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+		saveSparkModel(t, cfg.ModelDir, "acme")
 	}
 	if cfg.DefaultFramework == "" {
 		cfg.DefaultFramework = logging.Spark
@@ -64,102 +54,176 @@ func sparkRecs(session string, n int) []logging.Record {
 	return recs
 }
 
-// TestStreamGoBackN drives the refusal protocol deterministically: park
-// the tenant's worker pool at the control barrier so the queue cannot
-// drain, fill the record budget, and verify the exact ack sequence the
-// wire contract promises — 202 while the budget holds, 429 for the
-// frame that busts it, 425 for anything pipelined behind the refusal,
-// then 202s again once the refused frame is retransmitted in order.
-func TestStreamGoBackN(t *testing.T) {
-	s, addr := bootStreamServer(t, Config{QueueRecords: 100})
-	c := &Client{Tenant: "acme"}
-	sc, err := c.DialStream(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	tnt, err := s.Tenant("acme")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Park every ingest worker at the barrier; nothing drains until we
-	// release them, so admission decisions depend only on what we sent.
-	started, release := make(chan struct{}), make(chan struct{})
-	go tnt.control(func() {
-		close(started)
-		<-release
-	}, true)
-	<-started
-
-	// Seq 1: 60 records fit the 100-record budget.
-	resp, err := sc.Send(sparkRecs("sess-a", 60))
-	if err != nil {
-		t.Fatalf("first batch refused: %v", err)
-	}
-	if resp.Accepted != 60 {
-		t.Fatalf("first batch accepted %d records, want 60", resp.Accepted)
-	}
-
-	// Seq 2: 60 more would hold 120 — refused with the backoff hint.
-	var qf ErrQueueFull
-	if _, err := sc.Send(sparkRecs("sess-b", 60)); !errors.As(err, &qf) {
-		t.Fatalf("over-budget batch: err = %v, want ErrQueueFull", err)
-	}
-	if qf.RetryAfter <= 0 {
-		t.Fatalf("queue-full verdict carries no retry hint: %+v", qf)
-	}
-
-	// Seq 3 pipelined behind the refusal must bounce with 425 — the
-	// server accepts nothing until seq 2 is retransmitted.
-	if err := sc.sendBatchFrame(3, sparkRecs("sess-c", 10)); err != nil {
+// pipelineFrame writes one Batch frame on sc under the next seq without
+// waiting for its ack, and returns the seq.
+func pipelineFrame(t *testing.T, sc *StreamConn, recs []logging.Record) uint64 {
+	t.Helper()
+	sc.seq++
+	if err := sc.sendBatchFrame(sc.seq, recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := sc.bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	ack, err := sc.readAck()
+	return sc.seq
+}
+
+// TestStreamFullQueueHoldsFrames drives the hold deterministically: park
+// the tenant's workers at the control barrier, fill the record budget,
+// and pipeline three more frames from two connections. None is refused
+// and none is acked while the workers are parked; once they resume,
+// every frame is acked 202 in its connection's order, each record is
+// admitted exactly once, and every pooled batch comes back.
+func TestStreamFullQueueHoldsFrames(t *testing.T) {
+	s, addr := bootStreamServer(t, Config{QueueRecords: 100})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	c := &Client{Tenant: "acme"}
+	sa, err := c.DialStream(addr, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Seq != 3 || ack.Status != ackRetryEarly {
-		t.Fatalf("pipelined frame ack = %+v, want seq 3 status %d", ack, ackRetryEarly)
+	defer sa.Close()
+	sb, err := c.DialStream(addr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	tn, err := s.Tenant("acme")
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Release the workers and wait for the queue to drain.
-	close(release)
-	deadline := time.Now().Add(10 * time.Second)
-	for tnt.pending.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never drained: %d records pending", tnt.pending.Load())
+	started, release := make(chan struct{}), make(chan struct{})
+	go tn.control(func() {
+		close(started)
+		<-release
+	}, true)
+	<-started
+
+	// 60 + 40 records fill the 100-record budget exactly.
+	if resp, err := sa.Send(sparkRecs("sess-a", 60)); err != nil || resp.Accepted != 60 {
+		t.Fatalf("first batch: resp=%+v err=%v", resp, err)
+	}
+	if resp, err := sb.Send(sparkRecs("sess-b", 40)); err != nil || resp.Accepted != 40 {
+		t.Fatalf("second batch: resp=%+v err=%v", resp, err)
+	}
+	a2 := pipelineFrame(t, sa, sparkRecs("sess-a", 10))
+	a3 := pipelineFrame(t, sa, sparkRecs("sess-a", 10))
+	b2 := pipelineFrame(t, sb, sparkRecs("sess-b", 10))
+
+	// While the workers are parked no verdict may come back: a held frame
+	// is neither refused nor acked.
+	for _, sc := range []*StreamConn{sa, sb} {
+		sc.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		if ack, err := sc.readAck(); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("ack while the queue is full: %+v, err %v", ack, err)
 		}
-		time.Sleep(time.Millisecond)
+		sc.conn.SetReadDeadline(time.Time{})
+	}
+	if got := tn.records.Load(); got != 100 {
+		t.Fatalf("records = %d while parked, want the 100 the budget holds", got)
 	}
 
-	// Retransmit seq 2 (Send reuses the refused seq), then seq 3 — both
-	// admitted now, proving the resync window closed in order.
-	if resp, err = sc.Send(sparkRecs("sess-b", 60)); err != nil || resp.Accepted != 60 {
-		t.Fatalf("retransmitted batch: resp=%+v err=%v", resp, err)
+	close(release)
+	for _, f := range []struct {
+		sc  *StreamConn
+		seq uint64
+	}{{sa, a2}, {sa, a3}, {sb, b2}} {
+		if resp, err := f.sc.awaitAck(f.seq); err != nil || resp.Accepted != 10 {
+			t.Fatalf("held frame seq %d: resp=%+v err=%v", f.seq, resp, err)
+		}
 	}
-	if resp, err = sc.Send(sparkRecs("sess-c", 10)); err != nil || resp.Accepted != 10 {
-		t.Fatalf("post-resync batch: resp=%+v err=%v", resp, err)
+	if !tn.control(func() {}, true) {
+		t.Fatal("drain barrier refused")
+	}
+	if got := tn.records.Load(); got != 130 {
+		t.Fatalf("records = %d, want the 130 sent (no loss, no duplication)", got)
+	}
+	if got := tn.rejected.Load(); got != 0 {
+		t.Fatalf("rejected = %d, want 0: a stream frame is held, never refused", got)
+	}
+	if got := scrapeValue(t, hs.URL, "intellogd_batch_pool_outstanding"); got != 0 {
+		t.Fatalf("batch_pool_outstanding = %v after the drain, want 0", got)
+	}
+}
+
+// TestStreamConnSurvivesEviction: a stream connection resolves its
+// tenant once, at Hello. When an HTTP request loads another tenant and
+// evicts it, the connection's next frame finds the held instance closed,
+// resolves the tenant again and is admitted into the reloaded instance,
+// which restored the evicted state from its checkpoint: the report over
+// both halves equals batch detection.
+func TestStreamConnSurvivesEviction(t *testing.T) {
+	spec := conformance.DefaultMatrix()[0] // spark-clean
+	corpus := spec.Generate()
+	m := conformance.ModelFor(spec.Framework)
+	want, err := conformance.Canonicalize(conformance.BatchPath(m.Detector(), corpus.Records))
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	if got := tnt.records.Load(); got != 130 {
-		t.Fatalf("tenant accepted %d records, want 130 (no loss, no duplication)", got)
+	modelDir := t.TempDir()
+	saveSparkModel(t, modelDir, "a")
+	saveSparkModel(t, modelDir, "b")
+	s, addr := bootStreamServer(t, Config{ModelDir: modelDir, StateDir: t.TempDir(), MaxTenants: 1})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	ca := &Client{Base: hs.URL, Tenant: "a"}
+	sc, err := ca.DialStream(addr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+
+	send := func(recs []logging.Record) {
+		t.Helper()
+		for off := 0; off < len(recs); off += 256 {
+			batch := recs[off:min(off+256, len(recs))]
+			if resp, err := sc.Send(batch); err != nil || resp.Accepted != len(batch) {
+				t.Fatalf("frame %d: resp=%+v err=%v", sc.seq, resp, err)
+			}
+		}
+	}
+	half := len(corpus.Records) / 2
+	send(corpus.Records[:half])
+	held, err := s.Tenant("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Client{Base: hs.URL, Tenant: "b"}).Flush(); err != nil {
+		t.Fatalf("loading b: %v", err)
+	}
+	if n := len(s.resident()); n != 1 || s.resident()[0].name != "b" {
+		t.Fatal("loading b did not evict a")
+	}
+
+	send(corpus.Records[half:])
+	if got := held.rejected.Load(); got != 0 {
+		t.Fatalf("the evicted instance counted %d rejections", got)
+	}
+	if _, err := ca.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ca.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := conformance.Canonicalize(&rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("report across the eviction diverges from batch detection\nbatch:\n%s\nserved:\n%s", want, got)
 	}
 }
 
 // TestStreamReplayBackpressureConformance proves detection semantics
-// survive real backpressure: a replay into a queue one-third the
-// in-flight window must hit 429s, retransmit go-back-N style, and still
-// produce a report byte-identical to batch detection, with every record
-// accepted exactly once.
+// survive real backpressure: a replay into a queue one-half the
+// in-flight window has frames held while the workers are parked, is
+// never refused, and still produces a report byte-identical to batch
+// detection, with every record accepted exactly once.
 func TestStreamReplayBackpressureConformance(t *testing.T) {
-	old := retrySleep
-	retrySleep = func(time.Duration) { time.Sleep(time.Millisecond) }
-	defer func() { retrySleep = old }()
-
 	spec := conformance.DefaultMatrix()[0] // spark-clean
 	corpus := spec.Generate()
 	m := conformance.ModelFor(spec.Framework)
@@ -171,16 +235,16 @@ func TestStreamReplayBackpressureConformance(t *testing.T) {
 	s, addr := bootStreamServer(t, Config{QueueRecords: 96})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
-	tnt, err := s.Tenant("acme")
+	tn, err := s.Tenant("acme")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Park the workers while the first windows land so refusals are
-	// guaranteed (48×4 in flight against a 96-record budget), then let
-	// the replay grind through under live drain.
+	// Park the workers while the first windows land so frames are held
+	// (48×4 in flight against a 96-record budget), then let the replay
+	// grind through under live drain.
 	started, release := make(chan struct{}), make(chan struct{})
-	go tnt.control(func() {
+	go tn.control(func() {
 		close(started)
 		<-release
 	}, true)
@@ -194,7 +258,7 @@ func TestStreamReplayBackpressureConformance(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		res, err := c.ReplayStream(addr, corpus.Records, StreamReplayOptions{
-			Batch: 48, Concurrency: 1, Window: 4, MaxRetries: 100000,
+			Batch: 48, Concurrency: 1, Window: 4,
 		})
 		done <- result{res, err}
 	}()
@@ -204,8 +268,9 @@ func TestStreamReplayBackpressureConformance(t *testing.T) {
 	if r.err != nil {
 		t.Fatalf("replay under backpressure: %v", r.err)
 	}
-	if r.res.Rejected == 0 {
-		t.Fatal("replay saw no 429s; the backpressure path was not exercised")
+	if r.res.Rejected != 0 || tn.rejected.Load() != 0 {
+		t.Fatalf("replay saw %d refusals, the tenant counted %d; a full queue must hold frames, not refuse them",
+			r.res.Rejected, tn.rejected.Load())
 	}
 	if r.res.Records != len(corpus.Records) {
 		t.Fatalf("replay accepted %d records, corpus has %d", r.res.Records, len(corpus.Records))

@@ -4,10 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
-	"sort"
-	"sync"
 	"time"
 
 	"intellog/internal/logging"
@@ -24,8 +21,7 @@ type StreamConn struct {
 	wbuf []byte // frame build buffer, reused per send
 	rbuf []byte // frame read buffer, reused per ack
 
-	seq     uint64
-	refused bool // last Send was refused; retry must reuse its seq
+	seq uint64 // seq of the last frame sent
 }
 
 // DialStream opens a binary ingest connection to addr (the daemon's
@@ -92,9 +88,8 @@ func (sc *StreamConn) readAck() (streamAck, error) {
 
 // Send ships one batch and waits for its verdict — the synchronous
 // counterpart of Client.IngestRecords over the binary wire. A full
-// queue returns ErrQueueFull carrying the server's backoff hint;
-// calling Send again retransmits under the refused sequence number, as
-// the protocol's ordering contract requires.
+// server queue holds the frame rather than refusing it, so Send waits
+// as long as that takes; any verdict but 202 is an error.
 //
 // A record whose time the record encoding cannot carry (wal.CheckTime)
 // fails the call before any frame is written: the server only sees the
@@ -103,33 +98,30 @@ func (sc *StreamConn) Send(recs []logging.Record) (IngestResponse, error) {
 	if err := checkRecordTimes(recs); err != nil {
 		return IngestResponse{}, err
 	}
-	if !sc.refused {
-		sc.seq++
-	}
+	sc.seq++
 	if err := sc.sendBatchFrame(sc.seq, recs); err != nil {
 		return IngestResponse{}, err
 	}
 	if err := sc.bw.Flush(); err != nil {
 		return IngestResponse{}, err
 	}
+	return sc.awaitAck(sc.seq)
+}
+
+// awaitAck reads the verdict on frame seq. Acks come back in send
+// order, so the next one must name seq, and it must accept the batch.
+func (sc *StreamConn) awaitAck(seq uint64) (IngestResponse, error) {
 	ack, err := sc.readAck()
 	if err != nil {
 		return IngestResponse{}, err
 	}
-	if ack.Seq != sc.seq {
-		return IngestResponse{}, wal.Errf("ack for seq %d, want %d", ack.Seq, sc.seq)
+	if ack.Seq != seq {
+		return IngestResponse{}, wal.Errf("ack for seq %d, want %d", ack.Seq, seq)
 	}
-	switch ack.Status {
-	case ackAccepted:
-		sc.refused = false
-		return IngestResponse{Accepted: ack.Accepted, Skipped: ack.Skipped, DeadLettered: ack.Dead}, nil
-	case ackQueueFull:
-		sc.refused = true
-		return IngestResponse{}, ErrQueueFull{RetryAfter: time.Duration(ack.RetryMs) * time.Millisecond}
-	default:
-		sc.refused = true
+	if ack.Status != ackAccepted {
 		return IngestResponse{}, fmt.Errorf("stream ingest refused (%d): %s", ack.Status, ack.Msg)
 	}
+	return IngestResponse{Accepted: ack.Accepted, Skipped: ack.Skipped, DeadLettered: ack.Dead}, nil
 }
 
 // checkRecordTimes returns the first record time in recs that the
@@ -153,16 +145,13 @@ type StreamReplayOptions struct {
 	// Window is the per-connection pipelining depth: how many frames may
 	// be in flight unacked (default 4).
 	Window int
-	// MaxRetries bounds retries per frame on 429 (default 50).
-	MaxRetries int
 }
 
 // ReplayStream is Client.Replay over the binary protocol: records shard
-// across Concurrency persistent connections by session hash, each
-// connection pipelines up to Window frames, and a refused frame is
-// retransmitted go-back-N style (the refused frame and everything sent
-// after it, in order) so per-session record order survives both the
-// backpressure and the pipelining.
+// across Concurrency persistent connections by session hash, and each
+// connection pipelines up to Window frames. The server acks frames in
+// order and holds, rather than refuses, what its queue has no room for,
+// so per-session record order survives the pipelining with no retry.
 func (c *Client) ReplayStream(addr string, recs []logging.Record, opts StreamReplayOptions) (ReplayResult, error) {
 	if opts.Batch <= 0 {
 		opts.Batch = 256
@@ -173,142 +162,44 @@ func (c *Client) ReplayStream(addr string, recs []logging.Record, opts StreamRep
 	if opts.Window <= 0 {
 		opts.Window = 4
 	}
-	if opts.MaxRetries <= 0 {
-		opts.MaxRetries = 50
-	}
-
 	if err := checkRecordTimes(recs); err != nil {
 		return ReplayResult{}, err
 	}
-	shards := partitionBySession(recs, opts.Concurrency)
-
-	type workerStat struct {
-		records, batches, rejected int
-		latencies                  []time.Duration
-		err                        error
-	}
-	stats := make([]workerStat, opts.Concurrency)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < opts.Concurrency; w++ {
-		if len(shards[w]) == 0 {
-			continue
+	return replayShards(recs, opts.Concurrency, func(_ int, recs []logging.Record, st *replayStats) error {
+		sc, err := c.DialStream(addr, "")
+		if err != nil {
+			return err
 		}
-		wg.Add(1)
-		go func(w int, recs []logging.Record) {
-			defer wg.Done()
-			st := &stats[w]
-			rng := rand.New(rand.NewSource(int64(w) + 1))
-			sc, err := c.DialStream(addr, "")
-			if err != nil {
-				st.err = err
-				return
-			}
-			defer sc.Close()
-			st.err = replayStreamWorker(sc, recs, opts, rng, func(lat time.Duration, accepted int) {
-				st.latencies = append(st.latencies, lat)
-				st.records += accepted
-				st.batches++
-			}, func() { st.rejected++ })
-		}(w, shards[w])
-	}
-	wg.Wait()
-
-	res := ReplayResult{Duration: time.Since(start)}
-	var lat []time.Duration
-	for i := range stats {
-		if stats[i].err != nil {
-			return res, stats[i].err
-		}
-		res.Records += stats[i].records
-		res.Batches += stats[i].batches
-		res.Rejected += stats[i].rejected
-		lat = append(lat, stats[i].latencies...)
-	}
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		res.P50 = lat[len(lat)/2]
-		res.P99 = lat[(len(lat)*99)/100]
-	}
-	if secs := res.Duration.Seconds(); secs > 0 {
-		res.RecPerSec = float64(res.Records) / secs
-	}
-	return res, nil
+		defer sc.Close()
+		return sc.pipeline(recs, opts, st)
+	})
 }
 
-// replayStreamWorker drives one connection: fill the window, read the
-// oldest verdict, and on a refusal drain the doomed tail's 425s, back
-// off, and retransmit the whole window under the original sequence
-// numbers.
-func replayStreamWorker(sc *StreamConn, recs []logging.Record, opts StreamReplayOptions,
-	rng *rand.Rand, onAck func(time.Duration, int), onReject func()) error {
-	type flight struct {
-		seq    uint64
-		recs   []logging.Record
-		sentAt time.Time
-	}
-	var inflight []flight
-	retries := 0
-	off := 0
-	for off < len(recs) || len(inflight) > 0 {
-		for len(inflight) < opts.Window && off < len(recs) {
-			end := off + opts.Batch
-			if end > len(recs) {
-				end = len(recs)
-			}
+// pipeline drives one replay connection: fill the window, read the
+// oldest frame's ack, repeat.
+func (sc *StreamConn) pipeline(recs []logging.Record, opts StreamReplayOptions, st *replayStats) error {
+	var sentAt []time.Time // send time of each frame in flight, oldest first
+	for off := 0; off < len(recs) || len(sentAt) > 0; {
+		for len(sentAt) < opts.Window && off < len(recs) {
+			end := min(off+opts.Batch, len(recs))
 			sc.seq++
-			f := flight{seq: sc.seq, recs: recs[off:end], sentAt: time.Now()}
-			if err := sc.sendBatchFrame(f.seq, f.recs); err != nil {
+			if err := sc.sendBatchFrame(sc.seq, recs[off:end]); err != nil {
 				return err
 			}
-			inflight = append(inflight, f)
+			sentAt = append(sentAt, time.Now())
 			off = end
 		}
 		if err := sc.bw.Flush(); err != nil {
 			return err
 		}
-		ack, err := sc.readAck()
+		resp, err := sc.awaitAck(sc.seq - uint64(len(sentAt)) + 1)
 		if err != nil {
 			return err
 		}
-		front := &inflight[0]
-		if ack.Seq != front.seq {
-			return wal.Errf("ack for seq %d, want %d", ack.Seq, front.seq)
-		}
-		switch ack.Status {
-		case ackAccepted:
-			onAck(time.Since(front.sentAt), ack.Accepted)
-			inflight = inflight[1:]
-			retries = 0
-		case ackQueueFull:
-			onReject()
-			retries++
-			if retries > opts.MaxRetries {
-				return fmt.Errorf("frame still refused after %d retries: queue full", opts.MaxRetries)
-			}
-			// The frames pipelined behind the refused one were bounced
-			// with 425 (retry-early); consume those verdicts so the ack
-			// stream realigns, then retransmit the window in order.
-			for i := 1; i < len(inflight); i++ {
-				tail, err := sc.readAck()
-				if err != nil {
-					return err
-				}
-				if tail.Seq != inflight[i].seq || tail.Status != ackRetryEarly {
-					return wal.Errf("expected 425 for seq %d, got %d for seq %d",
-						inflight[i].seq, tail.Status, tail.Seq)
-				}
-			}
-			retrySleep(retryDelay(time.Duration(ack.RetryMs)*time.Millisecond, rng))
-			for i := range inflight {
-				inflight[i].sentAt = time.Now()
-				if err := sc.sendBatchFrame(inflight[i].seq, inflight[i].recs); err != nil {
-					return err
-				}
-			}
-		default:
-			return fmt.Errorf("stream ingest refused (%d): %s", ack.Status, ack.Msg)
-		}
+		st.latencies = append(st.latencies, time.Since(sentAt[0]))
+		st.records += resp.Accepted
+		st.batches++
+		sentAt = sentAt[1:]
 	}
 	return nil
 }

@@ -30,8 +30,10 @@ const streamIdleTimeout = 2 * time.Minute
 // ServeStream accepts binary-protocol ingest connections on ln until
 // the listener is closed (then it returns nil) or fails. Each
 // connection serves one tenant, named in its Hello frame; record
-// admission, backpressure and counters are exactly the NDJSON
-// handler's, answered as Ack frames instead of HTTP statuses.
+// admission and counters are exactly the NDJSON handler's, answered as
+// Ack frames instead of HTTP statuses. Backpressure differs: where
+// NDJSON answers a full queue with 429, a stream connection holds the
+// frame until there is room (see awaitRoom).
 func (s *Server) ServeStream(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
@@ -154,10 +156,6 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 		return err
 	}
 
-	// resyncSeq, when non-zero, is the refused frame the client must
-	// retransmit next; frames with any other seq bounce with 425 so the
-	// accepted stream keeps per-session order (go-back-N).
-	var resyncSeq uint64
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.streamIdle))
 		typ, body, fbuf, err = wal.ReadFrame(br, fbuf, maxFrame)
@@ -173,12 +171,13 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 		}
 		select {
 		case <-s.closed:
-			sendAck(streamAck{Status: ackShutdown, Msg: "server draining"})
+			sendAck(streamAck{Status: ackShutdown, Msg: errDraining.Error()})
 			return nil
 		default:
 		}
 		// Validate into a rented batch. Ownership passes to
-		// admitStreamBatch; the refusal paths before it release here.
+		// admitStreamBatch once it admits or refuses the batch; the paths
+		// that end the connection before that release here.
 		seq, count, recs, err := wal.ParseBatchHeader(body)
 		if err != nil {
 			return err
@@ -189,22 +188,64 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 			b.Release()
 			return err
 		}
-		if resyncSeq != 0 && seq != resyncSeq {
-			b.Release()
-			if err := sendAck(streamAck{Seq: seq, Status: ackRetryEarly}); err != nil {
+		ack := s.admitStreamBatch(t, seq, b, skipped, dead)
+		for ack.Status == ackQueueFull {
+			// Hold the batch. sendAck defers its flush while frames are
+			// buffered, and a client whose window is full waits on one of
+			// those acks, so flush them before waiting.
+			if err := bw.Flush(); err != nil {
+				b.Release()
 				return err
 			}
-			continue
-		}
-		ack := s.admitStreamBatch(t, seq, b, skipped, dead)
-		if ack.Status == ackAccepted {
-			resyncSeq = 0
-		} else {
-			resyncSeq = seq
+			if t, err = s.awaitRoom(t); err != nil {
+				b.Release()
+				sendAck(streamAck{Seq: seq, Status: ackShutdown, Msg: err.Error()})
+				if errors.Is(err, errDraining) {
+					return nil
+				}
+				return err
+			}
+			if ack = s.admitStreamBatch(t, seq, b, skipped, dead); ack.Status == ackAccepted {
+				// Pass the wake-up on: the room may fit another waiter's
+				// batch too.
+				t.wake()
+			}
 		}
 		if err := sendAck(ack); err != nil {
 			return err
 		}
+	}
+}
+
+// errDraining answers a frame that arrives, or is waiting for room,
+// once the server has begun to shut down.
+var errDraining = errors.New("server draining")
+
+// awaitRoom blocks a connection holding a batch that t's queue had no
+// room for until a retry can succeed, and returns the tenant to retry
+// on: t once a worker has woken it (tenant.wake), or, once t has closed
+// in an LRU eviction, the instance loaded in its place. The connection
+// reads nothing meanwhile, so the client's sends block on TCP's own
+// window: one connection carries one ordered stream, so that window is
+// all the flow control ILS1 needs, and every session keeps its order
+// with no frame refused or sent twice.
+func (s *Server) awaitRoom(t *tenant) (*tenant, error) {
+	select {
+	case <-t.room:
+	case <-t.gone:
+	case <-s.closed:
+	}
+	// Shutdown closes every tenant too, so it is checked first.
+	select {
+	case <-s.closed:
+		return nil, errDraining
+	default:
+	}
+	select {
+	case <-t.gone:
+		return s.Tenant(t.name)
+	default:
+		return t, nil
 	}
 }
 
@@ -253,22 +294,24 @@ func (s *Server) filterBatch(fw logging.Framework, count int, recs []byte, b *ba
 	return skipped, dead, nil
 }
 
-// admitStreamBatch admits one filtered batch and renders the verdict as
-// an ack. The batch passes to tenant.admit, which owns it on every
-// outcome (a refused frame is retransmitted and filtered into a fresh
-// rental).
+// admitStreamBatch makes one admission attempt for a filtered batch and
+// renders the verdict as an ack. It owns b on every verdict but a full
+// queue: that returns an ackQueueFull which is never sent, and the
+// connection keeps b and tries again once awaitRoom returns.
 func (s *Server) admitStreamBatch(t *tenant, seq uint64, b *batch.Batch, skipped int, dead []wal.DeadLetter) streamAck {
 	accepted := b.Len()
-	switch verdict, err := t.admit(b, skipped, dead); verdict {
+	verdict, err := t.enqueue(b)
+	if verdict == admitQueueFull {
+		return streamAck{Seq: seq, Status: ackQueueFull}
+	}
+	t.settle(b, verdict, skipped, dead)
+	switch verdict {
 	case admitTooLarge:
 		return streamAck{Seq: seq, Status: ackTooLarge, Skipped: skipped,
 			Msg: "batch exceeds the tenant queue budget; split it"}
 	case admitWALFailed:
 		return streamAck{Seq: seq, Status: ackShutdown, Skipped: skipped,
 			Msg: "write-ahead log failed; batch not accepted: " + err.Error()}
-	case admitQueueFull:
-		return streamAck{Seq: seq, Status: ackQueueFull, Skipped: skipped,
-			RetryMs: 1000, Msg: "ingest queue full"}
 	}
 	t.streamBatches.Inc()
 	return streamAck{Seq: seq, Status: ackAccepted,

@@ -70,6 +70,14 @@ type tenant struct {
 	pending atomic.Int64 // records queued but not yet consumed
 	worker  sync.WaitGroup
 
+	// room and gone are what a stream connection holding a batch the
+	// queue had no room for waits on (Server.awaitRoom). room carries at
+	// most one pending wake-up (see wake); gone is closed together with
+	// closed, so a connection holding this instance after an eviction
+	// resolves the tenant again.
+	room chan struct{}
+	gone chan struct{}
+
 	// assignMu guards the raw-line sessionizer (handlers run
 	// concurrently; stickiness state is shared).
 	assignMu  sync.Mutex
@@ -97,7 +105,7 @@ type tenant struct {
 	// ingest counters (mirrored into /metrics).
 	records     atomic.Uint64 // accepted records
 	batches     atomic.Uint64 // accepted batches
-	rejected    atomic.Uint64 // batches refused with 429
+	rejected    atomic.Uint64 // batches refused with 429 (NDJSON and DLQ requeue)
 	skipped     atomic.Uint64 // lines dropped (unparsable / no session)
 	walReplayed atomic.Uint64 // records recovered from the WAL at boot
 
@@ -114,6 +122,8 @@ func newTenant(srv *Server, name string, m *core.Model, st *detect.StreamState, 
 		model:     m,
 		sink:      newAnomalyLog(srv.cfg.AnomalyLog),
 		queues:    make([]chan task, srv.cfg.ingestWorkers()),
+		room:      make(chan struct{}, 1),
+		gone:      make(chan struct{}),
 		formatter: logging.FormatterFor(srv.cfg.DefaultFramework),
 	}
 	for i := range t.queues {
@@ -242,26 +252,48 @@ func (t *tenant) openWALAndReplay(st *detect.StreamState) error {
 // decoded here, once, into the worker's own Decoder, and goes through
 // the detector's two-stage ConsumeEncoded, so the resolve stage of even
 // a single-worker tenant fans out across the CPUs on a miss while the
-// stateful apply stays ordered.
+// stateful apply stays ordered. Every finished task frees a queue slot,
+// and a batch its records' budget, so each one, once the queue has
+// drained to half its budget, wakes a waiting stream connection.
 func (t *tenant) run(q chan task) {
 	defer t.worker.Done()
 	var dec detect.Decoder
 	for tk := range q {
 		if tk.ctl != nil {
 			tk.ctl()
-			continue
+		} else {
+			n := tk.b.Len()
+			if err := t.consume(&dec, n, tk.b.Body); err != nil {
+				// The edge validated every record before admitting it, so
+				// this is a bug, not bad input.
+				log.Printf("intellogd: tenant %s: dropped an undecodable batch: %v", t.name, err)
+			}
+			// The records keep no view of the body (anomalies copy out
+			// what they keep), so the batch recycles here — the end of
+			// its ownership chain.
+			tk.b.Release()
+			t.pending.Add(int64(-n))
 		}
-		n := tk.b.Len()
-		if err := t.consume(&dec, n, tk.b.Body); err != nil {
-			// The edge validated every record before admitting it, so
-			// this is a bug, not bad input.
-			log.Printf("intellogd: tenant %s: dropped an undecodable batch: %v", t.name, err)
+		if t.pending.Load() <= int64(t.srv.cfg.QueueRecords/2) {
+			t.wake()
 		}
-		// The records keep no view of the body (anomalies copy out what
-		// they keep), so the batch recycles here — the end of its
-		// ownership chain.
-		tk.b.Release()
-		t.pending.Add(int64(-n))
+	}
+}
+
+// wake lets one stream connection waiting for queue room retry its
+// admission. It never blocks: room buffers one wake-up, and a second
+// one while it is unclaimed adds nothing, because the connection that
+// claims it and is admitted passes it on (serveStreamConn). Workers
+// wake nobody until the queue is down to half its budget, as a TCP
+// receiver reopens its window only in large steps (silly-window
+// avoidance, RFC 1122 §4.2.3.3): a held connection then admits its
+// frame and the ones behind it in one go, where waking on every
+// finished batch would park and wake it once per frame and pace every
+// ack by the worker.
+func (t *tenant) wake() {
+	select {
+	case t.room <- struct{}{}:
+	default:
 	}
 }
 
@@ -335,18 +367,30 @@ const (
 // failure (500/503), never an ack — acking what the WAL could not hold
 // would silently re-open the crash window.
 //
-// Only an admitted batch counts its request's skipped lines and writes
-// its dead letters: a refused batch is retried verbatim by the client,
-// and counting either on refusal would count it once per attempt.
+// admit answers for the NDJSON wire and DLQ requeue, where a full queue
+// is a 429; a stream connection calls enqueue and settle itself, holding
+// the batch until there is room.
 func (t *tenant) admit(b *batch.Batch, skipped int, dead []wal.DeadLetter) (admission, error) {
 	verdict, err := t.enqueue(b)
+	if verdict == admitQueueFull {
+		t.rejected.Add(1)
+	}
+	t.settle(b, verdict, skipped, dead)
+	return verdict, err
+}
+
+// settle ends an admission: a refused batch is released, and an
+// admitted one counts its request's skipped lines and writes its dead
+// letters. Only an admitted batch counts them: a refused batch is
+// retried verbatim, and counting on refusal would count it once per
+// attempt.
+func (t *tenant) settle(b *batch.Batch, verdict admission, skipped int, dead []wal.DeadLetter) {
 	if verdict != admitted {
 		b.Release()
-		return verdict, err
+		return
 	}
 	t.skipped.Add(uint64(skipped))
 	t.deadLetter(dead)
-	return admitted, nil
 }
 
 // enqueue is admit's budget check and placement. It consumes b exactly
@@ -364,7 +408,6 @@ func (t *tenant) enqueue(b *batch.Batch) (admission, error) {
 	for {
 		cur := t.pending.Load()
 		if cur+n > max {
-			t.rejected.Add(1)
 			return admitQueueFull, nil
 		}
 		if t.pending.CompareAndSwap(cur, cur+n) {
@@ -373,11 +416,16 @@ func (t *tenant) enqueue(b *batch.Batch) (admission, error) {
 	}
 	ok, err := t.sendBatch(b)
 	if !ok || err != nil {
+		// The reservation may have turned a stream connection away. After
+		// a failed WAL append nothing else would wake it; a full queue
+		// has a worker that will, and a closed tenant's waiters leave on
+		// gone. Waking on those too would only let a lone waiter claim
+		// its own wake-up and spin.
 		t.pending.Add(-n)
 		if err != nil {
+			t.wake()
 			return admitWALFailed, err
 		}
-		t.rejected.Add(1)
 		return admitQueueFull, nil
 	}
 	t.records.Add(uint64(n))
@@ -653,6 +701,7 @@ func (t *tenant) close(checkpoint bool) error {
 	already := t.closed
 	if !already {
 		t.closed = true
+		close(t.gone)
 		for _, q := range t.queues {
 			close(q)
 		}

@@ -11,11 +11,12 @@ import (
 // intellogd serves beside NDJSON HTTP. A client opens a persistent TCP
 // connection, writes the 4-byte magic and a Hello frame naming the
 // tenant, and then streams Batch frames of structured records; the
-// server answers every frame with an Ack carrying the same admission
-// semantics as /v1/ingest (202 accepted, 429 queue-full + retry hint,
-// 413 over-budget, 400 malformed) plus 425 for frames refused only
-// because an earlier frame must be retransmitted first (go-back-N, so
-// per-session record order survives pipelining).
+// server answers every frame, in order, with an Ack carrying the same
+// admission semantics as /v1/ingest (202 accepted, 413 over-budget, 400
+// malformed, 503 unavailable) but one: a frame the tenant's queue has no
+// room for is held, not refused. The server stops reading until a
+// worker frees room, so the client's sends block on TCP's window and no
+// frame is ever retransmitted.
 //
 // Frames are wal.AppendFrame's CRC envelope and a Batch body is
 // wal.AppendBatch's layout — the WAL stores the same record bytes. The decode
@@ -39,12 +40,11 @@ const (
 // Ack statuses (HTTP codes where one exists, so the two wire forms stay
 // one vocabulary).
 const (
-	ackAccepted   = 202 // batch queued
-	ackBadRecord  = 400 // malformed record (empty message)
-	ackTooLarge   = 413 // batch exceeds the whole queue budget
-	ackRetryEarly = 425 // refused: an earlier refused frame must be resent first
-	ackQueueFull  = 429 // admission refused, retry after retryMs
-	ackShutdown   = 503 // server draining; the connection is closing
+	ackAccepted  = 202 // batch queued
+	ackBadRecord = 400 // malformed record (empty message)
+	ackTooLarge  = 413 // batch exceeds the whole queue budget
+	ackQueueFull = 429 // NDJSON's refusal; on this wire only the server's "hold the frame" verdict, never sent
+	ackShutdown  = 503 // server draining, or the write-ahead log failed
 )
 
 // --- Hello -------------------------------------------------------------
@@ -95,7 +95,7 @@ type streamAck struct {
 	Accepted int
 	Skipped  int
 	Dead     int    // records dead-lettered out of an accepted batch
-	RetryMs  int    // backoff hint, set with ackQueueFull
+	RetryMs  int    // backoff hint; no verdict this server sends sets it
 	Msg      string // human-readable detail on errors
 }
 
