@@ -46,3 +46,65 @@ func TestUnexpectedExtractionMatchesBind(t *testing.T) {
 		t.Fatal("no unexpected-message anomaly in any corpus")
 	}
 }
+
+// TestStripRenderMatchesEmission is the serving anomaly log's contract:
+// an unexpected-message anomaly the stream detector emits, stripped to
+// its record and rendered back, marshals to the emitted bytes on every
+// matrix corpus. It renders twice, once through the emitting detector,
+// whose cache holds the rendering's memo, and once through a fresh
+// detector over the same model with an empty cache, which builds the
+// extraction anew. Neither render may touch a cache: the emitting one's
+// hit/miss counts do not move and the fresh one stays empty.
+func TestStripRenderMatchesEmission(t *testing.T) {
+	rendered := 0
+	for _, sp := range DefaultMatrix() {
+		m := ModelFor(sp.Framework)
+		d := m.Detector()
+		d.Cache = spell.NewLookupCache(0)
+		rep := StreamPath(d, corpusFor(sp).Records)
+		fresh := m.Detector()
+		fresh.Cache = spell.NewLookupCache(0)
+		hits, misses := d.Cache.Stats()
+		for _, a := range rep.Anomalies {
+			want, err := json.Marshal(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []struct {
+				cache string
+				d     *detect.Detector
+			}{{"emitting", d}, {"empty", fresh}} {
+				got := a
+				if !detect.Strip(&got) {
+					if a.Kind == detect.UnexpectedMessage && a.Record != nil {
+						t.Fatalf("%s: Strip kept %q whole", sp.Name, a.Record.Message)
+					}
+				} else if got.Extracted != nil || got.Detail != "" {
+					t.Fatalf("%s: stripped anomaly still holds Extracted or Detail: %+v", sp.Name, got)
+				}
+				r.d.Render(&got)
+				b, err := json.Marshal(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(b, want) {
+					t.Errorf("%s: session %s, rendered with the %s cache:\n  got:  %s\n  want: %s",
+						sp.Name, a.Session, r.cache, b, want)
+				}
+			}
+			if a.Kind == detect.UnexpectedMessage {
+				rendered++
+			}
+		}
+		if h, mi := d.Cache.Stats(); h != hits || mi != misses {
+			t.Errorf("%s: renders moved the cache's counts: hits %d → %d, misses %d → %d", sp.Name, hits, h, misses, mi)
+		}
+		if n := fresh.Cache.Len(); n != 0 {
+			t.Errorf("%s: renders published %d memos into an empty cache", sp.Name, n)
+		}
+	}
+	if rendered == 0 {
+		t.Fatal("no unexpected-message anomaly in any corpus")
+	}
+	t.Logf("%d unexpected-message anomalies rendered", rendered)
+}

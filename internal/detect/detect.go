@@ -363,6 +363,40 @@ func (d *Detector) buildAdhoc(msg string, toks []nlp.Token, cl *extract.CachedLo
 	cl.AdhocDetail = fmt.Sprintf("no Intel Key matches %q", msg)
 }
 
+// Strip drops from an unexpected-message anomaly that keeps its record
+// the two fields Render rebuilds from that record, Extracted and
+// Detail, and reports whether it did. A retained anomaly so holds its
+// record, not the rendering's memo. Any other anomaly is left as is.
+func Strip(a *Anomaly) bool {
+	if a.Kind != UnexpectedMessage || a.Record == nil {
+		return false
+	}
+	a.Extracted, a.Detail = nil, ""
+	return true
+}
+
+// Render fills back what Strip dropped, byte for byte as unexpected
+// emitted it: both are pure functions of the record's text and the
+// frozen model. It takes the rendering's memo when the cache still
+// holds it and otherwise builds the ad-hoc extraction afresh, and it
+// has no side effect on the cache: the probe counts nothing and marks
+// nothing visited, and a rebuilt memo is not published. An anomaly
+// Strip would not touch is left as is.
+func (d *Detector) Render(a *Anomaly) {
+	if a.Kind != UnexpectedMessage || a.Record == nil {
+		return
+	}
+	msg := a.Record.Message
+	_, _, aux, _ := d.Cache.Peek([]byte(msg))
+	cl, _ := aux.(*extract.CachedLookup) // nil on a miss
+	if cl == nil || cl.Adhoc == nil {
+		cl = new(extract.CachedLookup)
+		d.buildAdhoc(msg, nlp.Tokenize(msg), cl)
+	}
+	r := d.unexpected(a.Session, a.Record, cl)
+	a.Extracted, a.Detail = r.Extracted, r.Detail
+}
+
 // DetectSession checks one session and returns its anomalies.
 func (d *Detector) DetectSession(s *logging.Session) []Anomaly {
 	scr := d.getScratch()

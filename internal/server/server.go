@@ -543,6 +543,9 @@ func (s *Server) registerGauges() {
 	s.reg.GaugeFunc("intellogd_queue_records",
 		"ingested records queued but not yet consumed, per tenant",
 		perTenant(func(t *tenant) float64 { return float64(t.pending.Load()) }))
+	s.reg.GaugeFunc("intellogd_stream_held_connections",
+		"ILS1 connections holding a frame the tenant's queue has no room for, per tenant",
+		perTenant(func(t *tenant) float64 { return float64(t.held.Load()) }))
 	s.reg.GaugeFunc("intellogd_expiry_heap_depth",
 		"scheduled idle-expiry heap entries per tenant",
 		perTenant(func(t *tenant) float64 { return float64(t.sd.ExpiryDepth()) }))
@@ -674,6 +677,6 @@ func (s *Server) registerGauges() {
 		"cumulative heap objects allocated (runtime.MemStats.Mallocs)",
 		func() []metrics.Sample { return one(float64(memstats().Mallocs)) })
 	s.reg.GaugeFunc("intellogd_heap_alloc_bytes",
-		"bytes of live heap (runtime.MemStats.HeapAlloc)",
+		"bytes of allocated heap objects, live and not yet swept garbage alike (runtime.MemStats.HeapAlloc)",
 		func() []metrics.Sample { return one(float64(memstats().HeapAlloc)) })
 }

@@ -50,6 +50,13 @@ type anomalyLog struct {
 	// appends (newTenant wires it ahead of WAL replay and worker start)
 	// and invoked outside the log's lock.
 	onAdmit func([]detect.Anomaly)
+	// det, when set, is the tenant's detector. push then keeps an
+	// unexpected-message anomaly as its record alone (detect.Strip), and
+	// after, all and get render each copy back (Detector.Render) once
+	// they have let go of mu, so a read never holds up the workers'
+	// appends. onAdmit still sees every anomaly whole. Set, like
+	// onAdmit, before any appends.
+	det *detect.Detector
 }
 
 func newAnomalyLog(maxRetain int) *anomalyLog {
@@ -116,6 +123,9 @@ func (l *anomalyLog) append(as []detect.Anomaly) {
 // push appends one in-order anomaly to the dense log and applies
 // retention. Caller holds mu.
 func (l *anomalyLog) push(a detect.Anomaly) {
+	if l.det != nil {
+		detect.Strip(&a)
+	}
 	if len(l.entries) == 0 {
 		l.first = a.Seq
 	}
@@ -147,10 +157,27 @@ type SeqAnomaly struct {
 	Anomaly detect.Anomaly `json:"anomaly"`
 }
 
+// render fills back what push stripped from one copied entry. Called
+// without mu.
+func (l *anomalyLog) render(a *detect.Anomaly) {
+	if l.det != nil {
+		l.det.Render(a)
+	}
+}
+
 // after returns up to limit anomalies with Seq > since, the cursor to
 // pass next (the max Seq returned, or since when nothing matched), and
 // the total count retention has dropped. limit ≤ 0 means no page bound.
 func (l *anomalyLog) after(since uint64, limit int) (out []SeqAnomaly, next uint64, dropped uint64) {
+	out, next, dropped = l.copyAfter(since, limit)
+	for i := range out {
+		l.render(&out[i].Anomaly)
+	}
+	return out, next, dropped
+}
+
+// copyAfter is after's copy of the retained entries, under mu.
+func (l *anomalyLog) copyAfter(since uint64, limit int) (out []SeqAnomaly, next uint64, dropped uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	next = since
@@ -184,8 +211,12 @@ func (l *anomalyLog) after(since uint64, limit int) (out []SeqAnomaly, next uint
 // all copies the retained anomalies in emission order.
 func (l *anomalyLog) all() []detect.Anomaly {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return slices.Concat(l.entries[l.head:], l.entries[:l.head])
+	out := slices.Concat(l.entries[l.head:], l.entries[:l.head])
+	l.mu.Unlock()
+	for i := range out {
+		l.render(&out[i])
+	}
+	return out
 }
 
 // len returns the retained count.
@@ -205,13 +236,12 @@ func (l *anomalyLog) trimmedCount() uint64 {
 // get returns the anomaly at seq, if still retained.
 func (l *anomalyLog) get(seq uint64) (detect.Anomaly, bool) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.entries) == 0 || seq < l.first {
-		return detect.Anomaly{}, false
+	var a detect.Anomaly
+	ok := len(l.entries) > 0 && seq >= l.first && seq-l.first < uint64(len(l.entries))
+	if ok {
+		a = *l.at(int(seq - l.first))
 	}
-	d := seq - l.first
-	if d >= uint64(len(l.entries)) {
-		return detect.Anomaly{}, false
-	}
-	return *l.at(int(d)), true
+	l.mu.Unlock()
+	l.render(&a)
+	return a, ok
 }

@@ -71,9 +71,10 @@ func pipelineFrame(t *testing.T, sc *StreamConn, recs []logging.Record) uint64 {
 // TestStreamFullQueueHoldsFrames drives the hold deterministically: park
 // the tenant's workers at the control barrier, fill the record budget,
 // and pipeline three more frames from two connections. None is refused
-// and none is acked while the workers are parked; once they resume,
-// every frame is acked 202 in its connection's order, each record is
-// admitted exactly once, and every pooled batch comes back.
+// and none is acked while the workers are parked, and the held
+// connections gauge reads 2; once they resume, every frame is acked 202
+// in its connection's order, each record is admitted exactly once, every
+// pooled batch comes back and the gauge reads 0.
 func TestStreamFullQueueHoldsFrames(t *testing.T) {
 	s, addr := bootStreamServer(t, Config{QueueRecords: 100})
 	hs := httptest.NewServer(s.Handler())
@@ -124,6 +125,15 @@ func TestStreamFullQueueHoldsFrames(t *testing.T) {
 	if got := tn.records.Load(); got != 100 {
 		t.Fatalf("records = %d while parked, want the 100 the budget holds", got)
 	}
+	// Each connection holds its first pipelined frame and reads nothing
+	// behind it.
+	const held = `intellogd_stream_held_connections{tenant="acme"}`
+	for wait := time.Now().Add(5 * time.Second); scrapeValue(t, hs.URL, held) != 2 && time.Now().Before(wait); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := scrapeValue(t, hs.URL, held); got != 2 {
+		t.Errorf("%s = %v while parked, want 2", held, got) // not Fatal: the workers must be released
+	}
 
 	close(release)
 	for _, f := range []struct {
@@ -145,6 +155,9 @@ func TestStreamFullQueueHoldsFrames(t *testing.T) {
 	}
 	if got := scrapeValue(t, hs.URL, "intellogd_batch_pool_outstanding"); got != 0 {
 		t.Fatalf("batch_pool_outstanding = %v after the drain, want 0", got)
+	}
+	if got := scrapeValue(t, hs.URL, held); got != 0 {
+		t.Fatalf("%s = %v after the release, want 0", held, got)
 	}
 }
 

@@ -230,11 +230,13 @@ var errDraining = errors.New("server draining")
 // all the flow control ILS1 needs, and every session keeps its order
 // with no frame refused or sent twice.
 func (s *Server) awaitRoom(t *tenant) (*tenant, error) {
+	t.held.Add(1)
 	select {
 	case <-t.room:
 	case <-t.gone:
 	case <-s.closed:
 	}
+	t.held.Add(-1)
 	// Shutdown closes every tenant too, so it is checked first.
 	select {
 	case <-s.closed:

@@ -77,6 +77,9 @@ type tenant struct {
 	// resolves the tenant again.
 	room chan struct{}
 	gone chan struct{}
+	// held counts the stream connections parked in awaitRoom on this
+	// instance (intellogd_stream_held_connections).
+	held atomic.Int64
 
 	// assignMu guards the raw-line sessionizer (handlers run
 	// concurrently; stickiness state is shared).
@@ -162,6 +165,7 @@ func newTenant(srv *Server, name string, m *core.Model, st *detect.StreamState, 
 		t.engine = analytics.NewEngine(srv.cfg.Analytics, m.Graph)
 	}
 	t.sink.onAdmit = t.engine.ObserveBatch
+	t.sink.det = t.det
 	dlq, err := wal.OpenDLQ(srv.dlqDir(name), srv.cfg.DLQRetain)
 	if err != nil {
 		return nil, fmt.Errorf("tenant %s: open dlq: %w", name, err)
