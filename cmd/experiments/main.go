@@ -19,15 +19,17 @@ import (
 	"intellog/internal/experiments"
 )
 
+// defaults are the flags' defaults: the run experiments_output.txt at the
+// repository root captures.
+var defaults = experiments.RunOptions{Run: "all", TrainJobs: 20, Seed: 7}
+
 func main() {
-	var (
-		run   = flag.String("run", "all", "all | "+strings.Join(experiments.RunNames, " | "))
-		train = flag.Int("train", 20, "training jobs per system")
-		seed  = flag.Int64("seed", 7, "random seed")
-	)
+	opts := defaults
+	flag.StringVar(&opts.Run, "run", defaults.Run, "all | "+strings.Join(experiments.RunNames, " | "))
+	flag.IntVar(&opts.TrainJobs, "train", defaults.TrainJobs, "training jobs per system")
+	flag.Int64Var(&opts.Seed, "seed", defaults.Seed, "random seed")
 	flag.Parse()
 
-	opts := experiments.RunOptions{Run: *run, TrainJobs: *train, Seed: *seed}
 	if err := experiments.Run(os.Stdout, opts); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)

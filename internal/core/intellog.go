@@ -102,10 +102,10 @@ func Train(sessions []*logging.Session, cfg Config) *Model {
 	// parallel, into the lookup cache detection starts from. An
 	// unmatched rendering's memo carries its bound ad-hoc extraction,
 	// which needs the detector's group table: the detector publishes it
-	// on first sight. The builder reads only key IDs and identifier
-	// caches, so it folds the shared Algorithm-2 prototypes.
+	// on first sight. The builder folds the same shared Algorithm-2
+	// prototypes.
 	matched := make([]*spell.Key, len(distinct))
-	protos := make([]*extract.Message, len(distinct))
+	protos := make([]*extract.Proto, len(distinct))
 	stride(len(distinct), workers, func(i int) {
 		k := parser.Lookup(texts[i])
 		if k == nil {
@@ -130,7 +130,7 @@ func Train(sessions []*logging.Session, cfg Config) *Model {
 		}
 	}()
 	builder := hwgraph.NewBuilder(keys)
-	var msgs []*extract.Message
+	var msgs []*extract.Proto
 	for _, s := range sessions {
 		msgs = msgs[:0]
 		for _, j := range recs[:len(s.Records)] {
@@ -175,8 +175,6 @@ func bindFull(parser *spell.Parser, keys map[int]*extract.IntelKey, memo map[str
 			if k := parser.Lookup(nlp.Texts(toks)); k != nil {
 				if ik := keys[k.ID]; ik != nil && ik.NaturalLanguage {
 					proto = extract.Bind(ik, toks, time.Time{}, "", rec.Message)
-					proto.IdentifierSet() // cache once; every copy shares it
-					proto.TypeSignature()
 				}
 			}
 			memo[rec.Message] = proto

@@ -196,10 +196,7 @@ func TestMessagesAfterDetectBindInFull(t *testing.T) {
 		for _, rec := range s.Records {
 			toks := nlp.Tokenize(rec.Message)
 			if k := m.Parser.Lookup(nlp.Texts(toks)); k != nil && m.Keys[k.ID].NaturalLanguage {
-				full := extract.Bind(m.Keys[k.ID], toks, rec.Time, s.ID, rec.Message)
-				full.IdentifierSet()
-				full.TypeSignature()
-				want = append(want, full)
+				want = append(want, extract.Bind(m.Keys[k.ID], toks, rec.Time, s.ID, rec.Message))
 			}
 		}
 	}

@@ -212,7 +212,7 @@ type Detector struct {
 // dominate the allocation profile is gone.
 type sessionScratch struct {
 	asn  hwgraph.Assigner
-	msgs []*extract.Message
+	msgs []*extract.Proto
 
 	// Group buckets replace the per-session byGroup/spans maps. Buckets
 	// are created once per distinct group name and invalidated by epoch
@@ -239,7 +239,7 @@ type sessionScratch struct {
 type groupBucket struct {
 	name  string
 	epoch uint64
-	msgs  []*extract.Message
+	msgs  []*extract.Proto
 	span  hwgraph.Span
 }
 
@@ -405,9 +405,9 @@ func (d *Detector) DetectSession(s *logging.Session) []Anomaly {
 }
 
 // detectSession is DetectSession over caller-owned worker scratch.
-// Structural checks consume the shared bound prototypes directly — the
+// Structural checks consume the shared prototypes directly — the
 // instance checks read only rendering-derived fields (key ID, identifier
-// sets/types), so no per-record message copy is made.
+// values and types), so no per-record message copy is made.
 func (d *Detector) detectSession(s *logging.Session, scr *sessionScratch) []Anomaly {
 	var anomalies []Anomaly
 	msgs := scr.msgs[:0]
@@ -531,7 +531,7 @@ func (d *Detector) buildGroupIndex() {
 // before assigning the next group, so assigner reuse is safe. last is
 // the session's newest record time, stamped as the event time of every
 // structural finding.
-func (d *Detector) checkInstances(session string, last time.Time, msgs []*extract.Message, scr *sessionScratch) []Anomaly {
+func (d *Detector) checkInstances(session string, last time.Time, msgs []*extract.Proto, scr *sessionScratch) []Anomaly {
 	var anomalies []Anomaly
 
 	// Bucket messages by entity group. Epoch stamping invalidates the
@@ -540,7 +540,7 @@ func (d *Detector) checkInstances(session string, last time.Time, msgs []*extrac
 	scr.epoch++
 	touched := scr.touched[:0]
 	for idx, m := range msgs {
-		for _, b := range scr.bucketsFor(d, m.KeyID) {
+		for _, b := range scr.bucketsFor(d, m.KeyID()) {
 			if b.epoch != scr.epoch {
 				b.epoch = scr.epoch
 				b.msgs = b.msgs[:0]
@@ -576,7 +576,7 @@ func (d *Detector) checkInstances(session string, last time.Time, msgs []*extrac
 			}
 			seq := scr.seq[:0]
 			for _, m := range inst.Msgs {
-				seq = append(seq, m.KeyID)
+				seq = append(seq, m.KeyID())
 			}
 			scr.seq = seq
 			// Reduce once; both checks consume the reduction (duplicates

@@ -26,10 +26,10 @@ func fixture(t testing.TB) *Detector {
 	}
 	var keys []*extract.IntelKey
 	index := map[int]*extract.IntelKey{}
-	var trainMsgs [][]*extract.Message
-	for si, lines := range sessions {
-		var msgs []*extract.Message
-		for li, line := range lines {
+	var trainMsgs [][]*extract.Proto
+	for _, lines := range sessions {
+		var msgs []*extract.Proto
+		for _, line := range lines {
 			toks := nlp.Tokenize(line)
 			k := parser.Consume(nlp.Texts(toks))
 			ik, ok := index[k.ID]
@@ -41,9 +41,7 @@ func fixture(t testing.TB) *Detector {
 			if !ik.NaturalLanguage {
 				continue
 			}
-			msgs = append(msgs, extract.Bind(ik, toks,
-				time.Date(2019, 3, 1, 12, 0, 0, 0, time.UTC).Add(time.Duration(si*100+li)*time.Second),
-				"", line))
+			msgs = append(msgs, extract.BindProto(ik, toks, line))
 		}
 		trainMsgs = append(trainMsgs, msgs)
 	}

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -19,16 +20,9 @@ func hdfsRendering(i int) string {
 	return fmt.Sprintf("Received block blk_%d of size %d from /10.0.%d.%d:50010", 1000+i, 4096+i, i/250, i%250)
 }
 
-// TestColdMissAllocs: a new rendering of a matched natural-language key —
-// 97 % of the HDFS workload's records — resolves through lookupRecord
-// into one cache slot and the Algorithm-2 prototype, with no field maps
-// and no token split left behind: the CachedLookup, the prototype and its
-// two identifier slices, 4 allocations. The cache's slot slice and map
-// grow geometrically, so they add a fraction of one per miss; an entry
-// object of its own (the old LRU's node and list element) would not fit
-// under the bound.
-func TestColdMissAllocs(t *testing.T) {
-	const bound = 5
+// hdfsDetector is a detector trained on four hdfsRendering lines: one
+// natural-language Intel Key, with BLK and SIZE identifier slots.
+func hdfsDetector() *Detector {
 	parser := spell.NewParser(0)
 	for i := 0; i < 4; i++ {
 		parser.Consume(nlp.Texts(nlp.Tokenize(hdfsRendering(-100 * (i + 1)))))
@@ -40,8 +34,21 @@ func TestColdMissAllocs(t *testing.T) {
 		list = append(list, keys[k.ID])
 	}
 	b := hwgraph.NewBuilder(list)
-	d := NewDetector(parser, keys, b.KeyGroups, b.Graph())
+	return NewDetector(parser, keys, b.KeyGroups, b.Graph())
+}
 
+// TestColdMissAllocs: a new rendering of a matched natural-language key —
+// 97 % of the HDFS workload's records — resolves through lookupRecord
+// into one cache slot and the Algorithm-2 prototype, with no field maps
+// and no token split left behind: the CachedLookup, the prototype and,
+// since this rendering carries two identifier values (a one-value
+// prototype holds its value inline), its value array — 3 allocations.
+// The cache's slot slice and map grow geometrically, so they add a
+// fraction of one per miss; an entry object of its own (the old LRU's
+// node and list element) would not fit under the bound.
+func TestColdMissAllocs(t *testing.T) {
+	const bound = 3
+	d := hdfsDetector()
 	const runs = 2000
 	recs := make([]logging.Record, runs+1)
 	for i := range recs {
@@ -52,7 +59,7 @@ func TestColdMissAllocs(t *testing.T) {
 	n := 0
 	allocs := testing.AllocsPerRun(runs, func() {
 		key, cl := d.lookupRecord(&recs[n], scr)
-		if key == nil || cl.Proto == nil || len(cl.Proto.IdentifierSet()) == 0 {
+		if key == nil || cl.Proto == nil || len(cl.Proto.Values()) == 0 {
 			t.Fatalf("%q did not resolve to a prototype with identifiers", recs[n].Message)
 		}
 		n++
@@ -61,6 +68,50 @@ func TestColdMissAllocs(t *testing.T) {
 	if allocs > bound {
 		t.Errorf("a cold miss allocates %.1f objects, want at most %d", allocs, bound)
 	}
+}
+
+// TestCacheEntryHeap resolves 16,384 distinct HDFS renderings through a
+// detector, each a miss that publishes its memo, as the HDFS workload's
+// one-shot renderings fill the daemon's cache. After a collection, the
+// live heap each entry holds, its text excluded, must stay within the
+// cache's own share (a 48 B slot and its map entry, each with append's
+// spare capacity: ≈ 120 B at most), the CachedLookup (48 B), the 80 B
+// prototype and its two-value array (64 B): 312 B. A memo that kept the
+// rendering as a bound Intel Message with its Algorithm-2 caches read
+// ≈ 490 B here.
+func TestCacheEntryHeap(t *testing.T) {
+	const n, bound = 1 << 14, 312
+	d := hdfsDetector()
+	recs := make([]logging.Record, n)
+	for i := range recs {
+		recs[i].Message = hdfsRendering(i)
+	}
+	scr := d.getScratch()
+	defer d.putScratch(scr)
+	liveHeap := func() float64 {
+		// Twice: an earlier detector's pooled scratch pins the detector
+		// until a second collection clears the pools' victim caches.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	base := liveHeap()
+	for i := range recs {
+		if key, cl := d.lookupRecord(&recs[i], scr); key == nil || cl.Proto == nil {
+			t.Fatalf("%q did not resolve to a prototype", recs[i].Message)
+		}
+	}
+	perEntry := (liveHeap() - base) / n
+	if got := d.Cache.Len(); got != n {
+		t.Fatalf("cache holds %d entries, want %d", got, n)
+	}
+	t.Logf("live heap per cache entry %.0f B, bound %d B", perEntry, bound)
+	if perEntry > bound {
+		t.Errorf("live heap per cache entry %.0f B, want at most %d B", perEntry, bound)
+	}
+	runtime.KeepAlive(recs)
 }
 
 // TestConsumeBatchCountsEveryLookup: the resolve stage probes the lookup

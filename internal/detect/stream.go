@@ -61,14 +61,15 @@ type StreamDetector struct {
 	anomSeq atomic.Uint64 // anomaly emission order (Anomaly.Seq), survives checkpoints
 }
 
-// sessionBuf accumulates one in-flight session. msgs holds the shared
-// bound prototypes (the structural checks read only rendering-derived
-// fields, so no per-record copy is made); times carries each record's
-// timestamp positionally, which is all the checkpoint snapshot needs.
+// sessionBuf accumulates one in-flight session. msgs holds the
+// renderings' shared prototypes, one pointer per buffered record: the
+// structural checks read only the key ID and identifier values, and the
+// checkpoint snapshot only Raw, so a record adds no copy of its own.
+// times carries each record's timestamp positionally.
 type sessionBuf struct {
 	id          string
 	fw          logging.Framework
-	msgs        []*extract.Message
+	msgs        []*extract.Proto
 	times       []time.Time
 	first, last time.Time
 	startSeq    uint64

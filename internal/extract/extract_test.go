@@ -1,7 +1,6 @@
 package extract
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -263,9 +262,8 @@ func TestBindProducesIntelMessage(t *testing.T) {
 	if got := m.Values["byte"]; len(got) != 1 || got[0] != "999" {
 		t.Errorf("byte values = %v (all %v)", got, m.Values)
 	}
-	set := m.IdentifierSet()
-	if !reflect.DeepEqual(set, []string{"3", "attempt_09"}) {
-		t.Errorf("IdentifierSet = %v", set)
+	if vals := BindProto(ik, toks, raw).Values(); len(vals) != 2 || vals[0].Val != "3" || vals[1].Val != "attempt_09" {
+		t.Errorf("prototype values = %+v", vals)
 	}
 	if m.Session != "container_01" || !m.Time.Equal(ts) {
 		t.Error("metadata not carried through")
@@ -314,33 +312,29 @@ func TestIsUnit(t *testing.T) {
 	}
 }
 
-// TestIdentifierValues: the distinct values come in IdentifierSet order
-// with their occurrence counts, and a value's hash is the same on every
-// message that carries it — the property that lets Algorithm 2 compare
-// values across prototypes without a shared table.
+// TestIdentifierValues: the distinct values come sorted with their
+// occurrence counts, and a value's hash is the same on every prototype
+// that carries it — the property that lets Algorithm 2 compare values
+// across prototypes without a shared table.
 func TestIdentifierValues(t *testing.T) {
-	m := &Message{Identifiers: map[string][]string{
-		"TASK":  {"task_7", "task_7"},
-		"STAGE": {"stage_2", "attempt_1"},
-	}}
-	got := m.IdentifierValues()
+	id := func(pos int, typ string) Slot { return Slot{Pos: pos, Kind: SlotIdentifier, Type: typ} }
+	key := &IntelKey{ID: 1, Slots: []Slot{id(0, "TASK"), id(1, "TASK"), id(2, "STAGE"), id(3, "STAGE")}}
+	m := BindProto(key, nlp.Tokenize("task_7 task_7 stage_2 attempt_1"), "")
+	got := m.Values()
 	if len(got) != 3 || got[0].Val != "attempt_1" || got[1].Val != "stage_2" || got[2].Val != "task_7" {
-		t.Fatalf("IdentifierValues = %+v", got)
+		t.Fatalf("Values = %+v", got)
 	}
 	if got[0].Count != 1 || got[1].Count != 1 || got[2].Count != 2 {
 		t.Errorf("counts = %d %d %d, want 1 1 2", got[0].Count, got[1].Count, got[2].Count)
 	}
-	if set := m.IdentifierSet(); len(set) != 4 {
-		t.Errorf("IdentifierSet = %v, want the multiset of 4", set)
-	}
-	other := &Message{Identifiers: map[string][]string{"ID": {"task_7"}}}
-	if ov := other.IdentifierValues(); len(ov) != 1 || ov[0].Hash != got[2].Hash {
-		t.Errorf("task_7 hashes differently on two messages: %+v vs %+v", ov, got[2])
+	other := BindProto(&IntelKey{ID: 2, Slots: []Slot{id(0, "")}}, nlp.Tokenize("task_7"), "")
+	if ov := other.Values(); len(ov) != 1 || ov[0].Hash != got[2].Hash {
+		t.Errorf("task_7 hashes differently on two prototypes: %+v vs %+v", ov, got[2])
 	}
 	if got[0].Hash == got[1].Hash && got[1].Hash == got[2].Hash {
 		t.Error("three distinct values share one hash")
 	}
-	if vals := (&Message{}).IdentifierValues(); len(vals) != 0 {
-		t.Errorf("message without identifiers has values %+v", vals)
+	if vals := BindProto(&IntelKey{ID: 3}, nlp.Tokenize("done"), "").Values(); len(vals) != 0 {
+		t.Errorf("prototype without identifiers has values %+v", vals)
 	}
 }

@@ -9,6 +9,7 @@ package extract
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -88,9 +89,10 @@ type IntelKey struct {
 	skel atomic.Pointer[skeleton]
 }
 
-// skeleton is everything Algorithm 2 reads from a message bound to the
-// key except the identifier values themselves.
+// skeleton is everything Algorithm 2 reads from a rendering of the key
+// except the identifier values themselves.
 type skeleton struct {
+	id    int
 	idPos []int    // identifier slot positions, in slot order
 	types []string // sorted distinct identifier types, "" read as "ID"; never nil
 	sig   string   // types joined with "+"
@@ -102,9 +104,16 @@ func (k *IntelKey) skeleton() *skeleton {
 	if s := k.skel.Load(); s != nil {
 		return s
 	}
-	s := &skeleton{types: []string{}}
-	for _, slot := range k.Slots {
-		if slot.Kind != SlotIdentifier {
+	k.skel.CompareAndSwap(nil, compileSkeleton(k.ID, k.Slots, math.MaxInt))
+	return k.skel.Load()
+}
+
+// compileSkeleton builds the skeleton of key id over its identifier
+// slots that fall before position end.
+func compileSkeleton(id int, slots []Slot, end int) *skeleton {
+	s := &skeleton{id: id, types: []string{}}
+	for _, slot := range slots {
+		if slot.Kind != SlotIdentifier || slot.Pos >= end {
 			continue
 		}
 		s.idPos = append(s.idPos, slot.Pos)
@@ -114,8 +123,7 @@ func (k *IntelKey) skeleton() *skeleton {
 	}
 	sort.Strings(s.types)
 	s.sig = strings.Join(s.types, "+")
-	k.skel.CompareAndSwap(nil, s)
-	return k.skel.Load()
+	return s
 }
 
 // String renders the key text.

@@ -2,7 +2,7 @@ package extract
 
 import (
 	"hash/maphash"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,27 +33,13 @@ type Message struct {
 	Localities map[string][]string `json:"localities,omitempty"`
 	// Operations copies the key's operations.
 	Operations []Operation `json:"operations,omitempty"`
-
-	// idSet and typeSet cache IdentifierSet and IdentifierTypes. Copies
-	// of a bound prototype share them, so the sorts run once per distinct
-	// rendering instead of once per record. Callers must treat the
-	// returned slices as read-only.
-	idSet   []string
-	typeSet []string
-	// typeSig caches TypeSignature (and typeSigOK distinguishes a cached
-	// "" from an uncomputed one). Shared by prototype copies like typeSet.
-	typeSig   string
-	typeSigOK bool
-	// idVals caches IdentifierValues: the form of idSet Algorithm 2
-	// consumes. Filled by IdentifierSet, shared by prototype copies.
-	idVals []IDValue
 }
 
-// IDValue is one distinct identifier value of a message: the string,
-// a 64-bit hash of it, and how often the value occurs in the message's
+// IDValue is one distinct identifier value of a rendering: the string,
+// a 64-bit hash of it, and how often the value occurs in the rendering's
 // identifier multiset. The hash is a pure function of the string within
 // one process (it is seeded per process and must never be persisted),
-// so any two messages agree on it without sharing a table.
+// so any two prototypes agree on it without sharing a table.
 type IDValue struct {
 	Val   string
 	Hash  uint64
@@ -63,78 +49,37 @@ type IDValue struct {
 // idSeed seeds every IDValue.Hash in the process.
 var idSeed = maphash.MakeSeed()
 
-// IdentifierSet returns the sorted set of all identifier values in the
-// message — the log.Sv of Algorithm 2. The result is cached on the
-// message and must not be mutated. The same call caches
-// IdentifierValues, so a prototype that had IdentifierSet called before
-// it was published is read-only for Algorithm 2 as well.
-func (m *Message) IdentifierSet() []string {
-	if m.idSet != nil {
-		return m.idSet
-	}
-	out := []string{}
-	for _, vals := range m.Identifiers {
-		out = append(out, vals...)
-	}
-	m.setIdentifiers(out)
-	return out
+// Proto is the Algorithm-2 prototype of a rendering that matched an Intel
+// Key: everything §4.1's instance assignment and the per-session checks
+// read, and nothing else. The key ID, type set and signature belong to
+// the key (its shared skeleton); the rendering only fills the identifier
+// values. It has no field maps, so it cannot stand in for an Intel
+// Message in the query API. BindProto builds it whole; it is read-only
+// after, and shared by every record of the rendering.
+type Proto struct {
+	// Raw is the rendering's text.
+	Raw string
+	sk  *skeleton
+	ids []IDValue
+	// one backs ids when the rendering has one distinct value, the common
+	// case, so such a prototype is a single 80 B object.
+	one [1]IDValue
 }
 
-// setIdentifiers sorts out and caches it as IdentifierSet and IdentifierValues.
-func (m *Message) setIdentifiers(out []string) {
-	sort.Strings(out)
-	if len(out) > 0 {
-		vals := make([]IDValue, 0, len(out))
-		for i, v := range out {
-			if i > 0 && v == out[i-1] { // sorted: duplicates are adjacent
-				vals[len(vals)-1].Count++
-				continue
-			}
-			vals = append(vals, IDValue{Val: v, Hash: maphash.String(idSeed, v), Count: 1})
-		}
-		m.idVals = vals
-	}
-	m.idSet = out
-}
+// KeyID returns the Intel Key the rendering matched.
+func (p *Proto) KeyID() int { return p.sk.id }
 
-// IdentifierValues returns the distinct values of IdentifierSet in the
-// same (sorted) order, each with its hash and occurrence count; the
-// counts sum to len(IdentifierSet()). Cached with IdentifierSet and
-// read-only like it.
-func (m *Message) IdentifierValues() []IDValue {
-	if m.idSet == nil {
-		m.IdentifierSet()
-	}
-	return m.idVals
-}
+// Values returns the distinct identifier values, sorted, each with its
+// hash and occurrence count: the log.Sv of Algorithm 2 as a multiset.
+func (p *Proto) Values() []IDValue { return p.ids }
 
-// IdentifierTypes returns the sorted distinct identifier types of the
-// message. The result is cached on the message and must not be mutated.
-func (m *Message) IdentifierTypes() []string {
-	if m.typeSet != nil {
-		return m.typeSet
-	}
-	out := make([]string, 0, len(m.Identifiers))
-	for t := range m.Identifiers {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	m.typeSet = out
-	return out
-}
+// Types returns the sorted distinct identifier types ("" is filed as
+// "ID", as Bind does). Prototypes of one key share the slice.
+func (p *Proto) Types() []string { return p.sk.types }
 
-// TypeSignature returns the message's identifier types joined with "+"
-// in sorted order — the subroutine-signature string of Algorithm 2. The
-// result is cached on the message (prototype copies share it), so the
-// join runs once per distinct rendering instead of once per instance.
-func (m *Message) TypeSignature() string {
-	if m.typeSigOK {
-		return m.typeSig
-	}
-	m.typeSig = strings.Join(m.IdentifierTypes(), "+")
-	m.typeSigOK = true
-	return m.typeSig
-}
+// Signature returns Types joined with "+": the subroutine signature of
+// Algorithm 2.
+func (p *Proto) Signature() string { return p.sk.sig }
 
 // Bind matches a tokenized log message against an Intel Key and produces
 // the Intel Message. Token counts must align positionally with the key
@@ -189,36 +134,47 @@ func Bind(key *IntelKey, tokens []nlp.Token, ts time.Time, session, raw string) 
 }
 
 // BindProto returns the Algorithm-2 prototype of a rendering that matched
-// key: KeyID, Raw and the identifier caches, equal to those of a Bind of
-// the same tokens, with the key's shared type set and signature and no
-// field maps. The result is read-only.
-func BindProto(key *IntelKey, tokens []nlp.Token, raw string) *Message {
-	sk := key.skeleton()
-	ids := make([]string, len(sk.idPos))
-	for i, p := range sk.idPos {
-		if p >= len(tokens) {
-			// Bind drops such slots, which can change the type set; only a
-			// hand-built key gets here (Parser.Lookup matches same length).
-			m := Bind(key, tokens, time.Time{}, "", raw)
-			m.IdentifierSet()
-			m.TypeSignature()
-			return m
-		}
-		ids[i] = tokens[p].Text
+// key: Raw, the key's shared skeleton and the rendering's identifier
+// values, equal on everything Algorithm 2 reads to a Bind of the same
+// tokens.
+func BindProto(key *IntelKey, tokens []nlp.Token, raw string) *Proto {
+	p := &Proto{Raw: raw, sk: key.skeleton()}
+	if slices.ContainsFunc(p.sk.idPos, func(pos int) bool { return pos >= len(tokens) }) {
+		// Bind drops such slots, which can change the type set; only a
+		// hand-built key gets here (Parser.Lookup matches same length).
+		p.sk = compileSkeleton(key.ID, key.Slots, len(tokens))
 	}
-	m := &Message{KeyID: key.ID, Raw: raw, typeSet: sk.types, typeSig: sk.sig, typeSigOK: true}
-	m.setIdentifiers(ids)
-	return m
+	vals := p.one[:0]
+	if n := len(p.sk.idPos); n > 1 {
+		vals = make([]IDValue, 0, n)
+	}
+	for _, pos := range p.sk.idPos {
+		vals = append(vals, IDValue{Val: tokens[pos].Text, Count: 1})
+	}
+	slices.SortFunc(vals, func(a, b IDValue) int { return strings.Compare(a.Val, b.Val) })
+	out := vals[:0]
+	for _, v := range vals {
+		if len(out) > 0 && out[len(out)-1].Val == v.Val { // sorted: duplicates are adjacent
+			out[len(out)-1].Count++
+			continue
+		}
+		v.Hash = maphash.String(idSeed, v.Val)
+		out = append(out, v)
+	}
+	if len(out) > 0 {
+		p.ids = out
+	}
+	return p
 }
 
 // CachedLookup is the per-raw-message memo callers attach to a
 // spell.LookupCache entry. A rendering that matched a natural-language
-// key carries its BindProto prototype, which detection consumes directly
-// and HW-graph modeling folds; it has no field maps, so the query API
-// binds full Intel Messages with Bind instead. Everything a published
-// memo references is shared and read-only.
+// key carries its Proto, which detection consumes directly and HW-graph
+// modeling folds; the query API binds full Intel Messages with Bind
+// instead. Everything a published memo references is shared and
+// read-only.
 type CachedLookup struct {
-	Proto *Message
+	Proto *Proto
 
 	// Adhoc is the §3 extraction of an unmatched rendering (key == nil),
 	// already bound: Bind of the rendering's ad-hoc Intel Key with a zero

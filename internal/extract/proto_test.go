@@ -3,9 +3,12 @@ package extract_test
 import (
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"intellog/internal/conformance"
 	"intellog/internal/extract"
@@ -14,21 +17,39 @@ import (
 
 // algorithm2Diff names the first thing Algorithm 2 and HW-graph modeling
 // read on which a BindProto prototype and a Bind of the same tokens
-// disagree — key ID, raw text, identifier multiset, distinct values with
-// hashes and counts, type set, signature — or returns "".
+// disagree — key ID, raw text, distinct identifier values with hashes
+// and counts, type set, signature — or returns "". The expected values
+// come from Bind's identifier map.
 func algorithm2Diff(key *extract.IntelKey, toks []nlp.Token, raw string) string {
 	proto := extract.BindProto(key, toks, raw)
 	full := extract.Bind(key, toks, time.Time{}, "", raw)
+	var set, types []string
+	for typ, vals := range full.Identifiers {
+		types = append(types, typ)
+		set = append(set, vals...)
+	}
+	sort.Strings(set)
+	sort.Strings(types)
+	var vals []extract.IDValue
+	for i, v := range set {
+		if i > 0 && v == set[i-1] {
+			vals[len(vals)-1].Count++
+			continue
+		}
+		vals = append(vals, extract.IDValue{Val: v, Hash: extract.ValueHash(v), Count: 1})
+	}
+	if types == nil {
+		types = []string{}
+	}
 	for _, c := range []struct {
 		what      string
 		got, want any
 	}{
-		{"KeyID", proto.KeyID, full.KeyID},
+		{"KeyID", proto.KeyID(), full.KeyID},
 		{"Raw", proto.Raw, full.Raw},
-		{"IdentifierSet", proto.IdentifierSet(), full.IdentifierSet()},
-		{"IdentifierValues", proto.IdentifierValues(), full.IdentifierValues()},
-		{"IdentifierTypes", proto.IdentifierTypes(), full.IdentifierTypes()},
-		{"TypeSignature", proto.TypeSignature(), full.TypeSignature()},
+		{"Values", proto.Values(), vals},
+		{"Types", proto.Types(), types},
+		{"Signature", proto.Signature(), strings.Join(types, "+")},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			return fmt.Sprintf("%s: prototype %#v, Bind %#v", c.what, c.got, c.want)
@@ -100,19 +121,20 @@ func TestProtoEdgeCases(t *testing.T) {
 		if diff := algorithm2Diff(key, toks, c.raw); diff != "" {
 			t.Errorf("%s: %s", c.name, diff)
 		}
-		if got := extract.BindProto(key, toks, c.raw).TypeSignature(); got != c.sig {
+		if got := extract.BindProto(key, toks, c.raw).Signature(); got != c.sig {
 			t.Errorf("%s: signature %q, want %q", c.name, got, c.sig)
 		}
 	}
 }
 
 // TestProtoSharesKeyTypes: prototypes of one key share its type set, so
-// the sort and join run once per key rather than once per rendering, and
-// carry none of the field maps. The prototypes are bound from several
-// goroutines at once, so the key compiles concurrently on first use.
+// the sort and join run once per key rather than once per rendering. The
+// prototypes are bound from several goroutines at once, so the key
+// compiles concurrently on first use. A one-value prototype keeps its
+// value inline, in the one object BindProto allocates.
 func TestProtoSharesKeyTypes(t *testing.T) {
 	key := &extract.IntelKey{ID: 3, Slots: []extract.Slot{{Pos: 1, Kind: extract.SlotIdentifier, Type: "TASK"}, {Pos: 2, Kind: extract.SlotValue}}}
-	protos := make([]*extract.Message, 8)
+	protos := make([]*extract.Proto, 8)
 	var wg sync.WaitGroup
 	for i := range protos {
 		wg.Add(1)
@@ -124,11 +146,19 @@ func TestProtoSharesKeyTypes(t *testing.T) {
 	}
 	wg.Wait()
 	for i, p := range protos {
-		if &p.IdentifierTypes()[0] != &protos[0].IdentifierTypes()[0] {
+		if &p.Types()[0] != &protos[0].Types()[0] {
 			t.Errorf("prototype %d holds its own type set", i)
 		}
-		if p.Identifiers != nil || p.Values != nil || p.Localities != nil || p.Entities != nil {
-			t.Errorf("prototype %d built field maps: %+v", i, p)
+		if p.KeyID() != 3 || p.Signature() != "TASK" || len(p.Values()) != 1 || p.Values()[0].Val != fmt.Sprintf("task_%d", i) {
+			t.Errorf("prototype %d: key %d, signature %q, values %+v", i, p.KeyID(), p.Signature(), p.Values())
 		}
+	}
+	raw := "task task_1 2"
+	toks := nlp.Tokenize(raw)
+	if allocs := testing.AllocsPerRun(100, func() { extract.BindProto(key, toks, raw) }); allocs != 1 {
+		t.Errorf("a one-value prototype allocates %.1f objects, want 1", allocs)
+	}
+	if size := unsafe.Sizeof(extract.Proto{}); size != 80 {
+		t.Errorf("a prototype is %d B, want 80", size)
 	}
 }

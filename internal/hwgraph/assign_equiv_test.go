@@ -14,18 +14,22 @@ import (
 type refInstance struct {
 	ids   map[string]bool
 	types map[string]bool
-	msgs  []*extract.Message
+	msgs  []*extract.Proto
 }
 
 // refAssign is Algorithm 2 as the paper states it: string sets in maps,
 // an in-order scan over every instance per message. It is the seed
-// implementation of AssignInstances, kept as the oracle for the
-// hash-table Assigner.
-func refAssign(msgs []*extract.Message) []*refInstance {
+// implementation of Algorithm 2, kept as the oracle for the hash-table
+// Assigner. It reads each message's identifiers from idsOf, the map the
+// prototype was bound from, not from the prototype.
+func refAssign(msgs []*extract.Proto, idsOf map[*extract.Proto]map[string][]string) []*refInstance {
 	none := &refInstance{}
 	instances := []*refInstance{none}
 	for _, m := range msgs {
-		set := m.IdentifierSet()
+		var set []string
+		for _, vals := range idsOf[m] {
+			set = append(set, vals...)
+		}
 		if len(set) == 0 {
 			none.msgs = append(none.msgs, m)
 			continue
@@ -50,7 +54,7 @@ func refAssign(msgs []*extract.Message) []*refInstance {
 		for _, v := range set {
 			target.ids[v] = true
 		}
-		for t := range m.Identifiers {
+		for t := range idsOf[m] {
 			target.types[t] = true
 		}
 		target.msgs = append(target.msgs, m)
@@ -73,9 +77,12 @@ func sortedKeys(set map[string]bool) []string {
 // randomRun builds one Algorithm 2 input of up to size prototypes over a
 // value universe small enough that subsets, supersets, repeated values
 // inside one message and back-to-back repeats of one prototype all occur.
-func randomRun(rng *rand.Rand, size, universe int) []*extract.Message {
+// It returns the messages and the identifier map each prototype was
+// bound from.
+func randomRun(rng *rand.Rand, size, universe int) ([]*extract.Proto, map[*extract.Proto]map[string][]string) {
 	types := []string{"TASK", "STAGE", "FETCHER"}
-	protos := make([]*extract.Message, 1+rng.Intn(size))
+	protos := make([]*extract.Proto, 1+rng.Intn(size))
+	idsOf := make(map[*extract.Proto]map[string][]string, len(protos))
 	for i := range protos {
 		ids := map[string][]string{}
 		for n := rng.Intn(5); n > 0; n-- {
@@ -86,9 +93,10 @@ func randomRun(rng *rand.Rand, size, universe int) []*extract.Message {
 				ids[typ] = append(ids[typ], v) // the same value twice
 			}
 		}
-		protos[i] = &extract.Message{KeyID: i, Identifiers: ids}
+		protos[i] = msg(i, ids)
+		idsOf[protos[i]] = ids
 	}
-	msgs := make([]*extract.Message, 1+rng.Intn(3*size))
+	msgs := make([]*extract.Proto, 1+rng.Intn(3*size))
 	for i := range msgs {
 		if i > 0 && rng.Intn(4) == 0 {
 			msgs[i] = msgs[i-1]
@@ -96,7 +104,7 @@ func randomRun(rng *rand.Rand, size, universe int) []*extract.Message {
 			msgs[i] = protos[rng.Intn(len(protos))]
 		}
 	}
-	return msgs
+	return msgs, idsOf
 }
 
 // TestAssignMatchesReference checks the Assigner against refAssign on
@@ -123,8 +131,8 @@ func TestAssignMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(24))
 			a := &Assigner{dropHashBits: tc.dropHashBits}
 			for run := 0; run < 300; run++ {
-				msgs := randomRun(rng, tc.size, tc.universe)
-				got, want := a.Assign(msgs), refAssign(msgs)
+				msgs, idsOf := randomRun(rng, tc.size, tc.universe)
+				got, want := a.Assign(msgs), refAssign(msgs, idsOf)
 				if len(got) != len(want) {
 					t.Fatalf("run %d: %d instances, reference has %d", run, len(got), len(want))
 				}
@@ -162,7 +170,7 @@ func TestAssignerSizedByRunNotStream(t *testing.T) {
 	var a Assigner
 	n := 0
 	for run := 0; run < 50_000; run++ {
-		msgs := make([]*extract.Message, 4)
+		msgs := make([]*extract.Proto, 4)
 		for i := range msgs {
 			msgs[i] = msg(i, id1("TASK", fmt.Sprintf("task_%d", n)))
 			n++
@@ -185,10 +193,10 @@ func TestAssignerSizedByRunNotStream(t *testing.T) {
 // runs earlier must not read as live.
 func TestAssignerRunStampWrap(t *testing.T) {
 	var a Assigner
-	first := []*extract.Message{msg(0, id1("TASK", "a")), msg(1, id1("TASK", "b"))}
+	first := []*extract.Proto{msg(0, id1("TASK", "a")), msg(1, id1("TASK", "b"))}
 	a.Assign(first) // runID 1 writes two slots
 	a.runID = ^uint32(0)
-	got := a.Assign([]*extract.Message{msg(0, id1("TASK", "b")), msg(1, id1("TASK", "a"))})
+	got := a.Assign([]*extract.Proto{msg(0, id1("TASK", "b")), msg(1, id1("TASK", "a"))})
 	if len(got) != 2 || got[0].IDValues()[0] != "b" || got[1].IDValues()[0] != "a" {
 		t.Fatalf("after wrap: %d instances, first values %v", len(got), got[0].IDValues())
 	}

@@ -54,7 +54,7 @@ type Builder struct {
 // pendingRuns is one group's unfolded message runs: run r is
 // msgs[ends[r-1]:ends[r]], one per session that touched the group.
 type pendingRuns struct {
-	msgs []*extract.Message
+	msgs []*extract.Proto
 	ends []int
 }
 
@@ -136,28 +136,23 @@ func NewBuilder(keys []*extract.IntelKey) *Builder {
 	return b
 }
 
-// AddSession records one training session (its Intel Messages in log
-// order): group lifespans feed the relation tracker now, and each touched
-// group's messages are queued as one run for Graph to split into
-// subroutine instances (Algorithm 2).
-func (b *Builder) AddSession(msgs []*extract.Message) {
+// AddSession records one training session (its messages' prototypes in
+// log order): group lifespans feed the relation tracker now, and each
+// touched group's messages are queued as one run for Graph to split into
+// subroutine instances (Algorithm 2). Prototypes are read-only, so the
+// parallel group folds may share them.
+func (b *Builder) AddSession(msgs []*extract.Proto) {
 	if len(msgs) == 0 {
 		return
 	}
 	b.sessions++
 	touched := b.touched[:0]
 	for idx, m := range msgs {
-		if m.KeyID < 0 || m.KeyID >= len(b.keyGroupIdx) {
+		id := m.KeyID()
+		if id < 0 || id >= len(b.keyGroupIdx) {
 			continue
 		}
-		gis := b.keyGroupIdx[m.KeyID]
-		if len(gis) > 0 {
-			// The group folds read a shared message from several
-			// goroutines; fill its lazy identifier caches here, once.
-			m.IdentifierValues()
-			m.TypeSignature()
-		}
-		for _, gi := range gis {
+		for _, gi := range b.keyGroupIdx[id] {
 			if !b.mark[gi] {
 				b.mark[gi] = true
 				touched = append(touched, gi)
@@ -233,8 +228,8 @@ func (b *Builder) foldGroup(gi int, f *folder) {
 		b.groupSessions[gi]++
 		clear(f.perKey)
 		for _, m := range run {
-			f.perKey[m.KeyID]++
-			if f.perKey[m.KeyID] > 1 {
+			f.perKey[m.KeyID()]++
+			if f.perKey[m.KeyID()] > 1 {
 				b.multiPerSess[gi] = true
 			}
 		}
@@ -247,7 +242,7 @@ func (b *Builder) foldGroup(gi int, f *folder) {
 			}
 			seq := f.seq[:0]
 			for _, m := range inst.Msgs {
-				seq = append(seq, m.KeyID)
+				seq = append(seq, m.KeyID())
 			}
 			f.seq = seq
 			sub.Update(seq)

@@ -5,26 +5,30 @@ import (
 
 	"intellog/internal/extract"
 	"intellog/internal/hwgraph"
+	"intellog/internal/nlp"
 )
 
 // A minimal two-session training run: the task group's lifespan nests
 // inside the memory group's in both sessions, so the HW-graph places it
 // as a child (Fig. 6/7).
 func ExampleBuilder() {
+	taskID := []extract.Slot{{Pos: 1, Kind: extract.SlotIdentifier, Type: "TASK"}}
 	keys := []*extract.IntelKey{
 		{ID: 0, Entities: []string{"memory"}, NaturalLanguage: true},
-		{ID: 1, Entities: []string{"task"}, NaturalLanguage: true},
-		{ID: 2, Entities: []string{"task"}, NaturalLanguage: true},
+		{ID: 1, Entities: []string{"task"}, Slots: taskID, NaturalLanguage: true},
+		{ID: 2, Entities: []string{"task"}, Slots: taskID, NaturalLanguage: true},
 		{ID: 3, Entities: []string{"memory"}, NaturalLanguage: true},
 	}
 	b := hwgraph.NewBuilder(keys)
-	session := func(task string) []*extract.Message {
-		ids := map[string][]string{"TASK": {task}}
-		return []*extract.Message{
-			{KeyID: 0},                   // memory started
-			{KeyID: 1, Identifiers: ids}, // task start
-			{KeyID: 2, Identifiers: ids}, // task finish
-			{KeyID: 3},                   // memory cleared
+	bind := func(key int, raw string) *extract.Proto {
+		return extract.BindProto(keys[key], nlp.Tokenize(raw), raw)
+	}
+	session := func(task string) []*extract.Proto {
+		return []*extract.Proto{
+			bind(0, "memory started"),
+			bind(1, "task "+task+" started"),
+			bind(2, "task "+task+" finished"),
+			bind(3, "memory cleared"),
 		}
 	}
 	b.AddSession(session("t1"))

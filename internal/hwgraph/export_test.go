@@ -68,7 +68,7 @@ func (b *Builder) GraphFoldedIn(reorder func(groups []int), workers int) *Graph 
 // AddSessionFolded is AddSession followed by an immediate fold of the
 // session's runs, group by group in ascending id order on the calling
 // goroutine: the session-at-a-time sequential fold.
-func (b *Builder) AddSessionFolded(msgs []*extract.Message) {
+func (b *Builder) AddSessionFolded(msgs []*extract.Proto) {
 	b.AddSession(msgs)
 	order := b.foldOrder()
 	sort.Ints(order)

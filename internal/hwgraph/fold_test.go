@@ -12,12 +12,14 @@ import (
 	"intellog/internal/extract"
 	"intellog/internal/hwgraph"
 	"intellog/internal/logging"
+	"intellog/internal/nlp"
 )
 
 // foldCorpus binds a framework's reference training corpus with its
-// trained model: the Intel Keys in ID order and each session's Intel
-// Messages.
-func foldCorpus(t *testing.T, fw logging.Framework) ([]*extract.IntelKey, [][]*extract.Message) {
+// trained model: the Intel Keys in ID order and each session's
+// prototypes, one per matched natural-language record and one shared
+// prototype per distinct rendering, as training folds them.
+func foldCorpus(t *testing.T, fw logging.Framework) ([]*extract.IntelKey, [][]*extract.Proto) {
 	t.Helper()
 	sessions := conformance.TrainingSessions(fw)
 	m := core.Train(sessions, core.Config{})
@@ -26,9 +28,26 @@ func foldCorpus(t *testing.T, fw logging.Framework) ([]*extract.IntelKey, [][]*e
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].ID < keys[j].ID })
-	var msgs [][]*extract.Message
+	memo := map[string]*extract.Proto{}
+	var msgs [][]*extract.Proto
 	for _, s := range sessions {
-		msgs = append(msgs, core.BindSession(m.Parser, m.Keys, s))
+		var run []*extract.Proto
+		for _, rec := range s.Records {
+			p, ok := memo[rec.Message]
+			if !ok {
+				toks := nlp.Tokenize(rec.Message)
+				if k := m.Parser.Lookup(nlp.Texts(toks)); k != nil {
+					if ik := m.Keys[k.ID]; ik != nil && ik.NaturalLanguage {
+						p = extract.BindProto(ik, toks, rec.Message)
+					}
+				}
+				memo[rec.Message] = p
+			}
+			if p != nil {
+				run = append(run, p)
+			}
+		}
+		msgs = append(msgs, run)
 	}
 	return keys, msgs
 }

@@ -8,20 +8,28 @@ import (
 	"testing"
 
 	"intellog/internal/extract"
+	"intellog/internal/nlp"
 )
 
-// msg fabricates an Intel Message with the given key and identifiers.
-func msg(keyID int, ids map[string][]string) *extract.Message {
-	if ids == nil {
-		ids = map[string][]string{}
+// msg fabricates the prototype of a rendering of key keyID that carries
+// the given identifiers: the key has one identifier slot per value, and
+// the rendering is the values.
+func msg(keyID int, ids map[string][]string) *extract.Proto {
+	key := &extract.IntelKey{ID: keyID}
+	var toks []nlp.Token
+	for typ, vals := range ids {
+		for _, v := range vals {
+			key.Slots = append(key.Slots, extract.Slot{Pos: len(toks), Kind: extract.SlotIdentifier, Type: typ})
+			toks = append(toks, nlp.Token{Text: v})
+		}
 	}
-	return &extract.Message{KeyID: keyID, Identifiers: ids}
+	return extract.BindProto(key, toks, "")
 }
 
 func id1(typ, val string) map[string][]string { return map[string][]string{typ: {val}} }
 
 func TestAssignInstancesNoneAndMerge(t *testing.T) {
-	msgs := []*extract.Message{
+	msgs := []*extract.Proto{
 		msg(0, nil),               // NONE
 		msg(1, id1("TASK", "t1")), // instance A
 		msg(2, id1("TASK", "t2")), // instance B
@@ -29,7 +37,7 @@ func TestAssignInstancesNoneAndMerge(t *testing.T) {
 		msg(4, id1("TID", "x9")),                                   // subset of A (now contains x9) → joins A
 		msg(5, nil),                                                // NONE
 	}
-	instances := AssignInstances(msgs)
+	instances := new(Assigner).Assign(msgs)
 	if len(instances) != 3 {
 		t.Fatalf("got %d instances, want 3 (NONE, A, B)", len(instances))
 	}
@@ -51,7 +59,7 @@ func TestAssignInstancesNoneAndMerge(t *testing.T) {
 }
 
 func TestAssignInstancesDropsEmptyNone(t *testing.T) {
-	instances := AssignInstances([]*extract.Message{msg(1, id1("TASK", "t1"))})
+	instances := new(Assigner).Assign([]*extract.Proto{msg(1, id1("TASK", "t1"))})
 	if len(instances) != 1 {
 		t.Fatalf("got %d instances, want 1", len(instances))
 	}
@@ -197,8 +205,8 @@ func ikey(id int, entities ...string) *extract.IntelKey {
 
 // buildSession produces a canonical session: acl; memory open; task work
 // (inside memory); memory close; shutdown.
-func buildSession(taskID string) []*extract.Message {
-	return []*extract.Message{
+func buildSession(taskID string) []*extract.Proto {
+	return []*extract.Proto{
 		msg(0, nil),                 // acl
 		msg(1, nil),                 // memory started
 		msg(3, id1("TASK", taskID)), // task start
@@ -313,7 +321,7 @@ func TestBuilderSubroutines(t *testing.T) {
 func TestBuilderMiscGroup(t *testing.T) {
 	keys := []*extract.IntelKey{ikey(0), ikey(1, "task")}
 	b := NewBuilder(keys)
-	b.AddSession([]*extract.Message{msg(0, nil), msg(1, id1("TASK", "t"))})
+	b.AddSession([]*extract.Proto{msg(0, nil), msg(1, id1("TASK", "t"))})
 	g := b.Graph()
 	if g.Nodes[MiscGroup] == nil {
 		t.Fatalf("no misc group; nodes = %v", nodeNames(g))
@@ -379,11 +387,10 @@ func containsStr(list []string, s string) bool {
 	return false
 }
 
-// TestFoldSharesMessagesSafely: a message whose key belongs to several
-// groups is read by several fold workers at once. Its identifier views
-// are cached lazily, so AddSession must fill the caches before Graph
-// folds in parallel; run under -race, a fold that filled them itself
-// would race.
+// TestFoldSharesMessagesSafely: a prototype whose key belongs to several
+// groups is read by several fold workers at once. Prototypes are built
+// whole and never written after, so under -race the parallel fold must
+// read them without a race.
 func TestFoldSharesMessagesSafely(t *testing.T) {
 	b := NewBuilder([]*extract.IntelKey{
 		ikey(0, "task", "executor"),
@@ -396,7 +403,7 @@ func TestFoldSharesMessagesSafely(t *testing.T) {
 	const sessions = 2000
 	for s := 0; s < sessions; s++ {
 		id := strconv.Itoa(s)
-		b.AddSession([]*extract.Message{
+		b.AddSession([]*extract.Proto{
 			msg(0, id1("TASK", id)),
 			msg(1, map[string][]string{"TASK": {id}, "EXEC": {"e" + id}}),
 			msg(2, id1("SHUF", id)),

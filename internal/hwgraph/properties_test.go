@@ -82,23 +82,25 @@ func TestPropertySubroutineNoViolationOnTrainedOrder(t *testing.T) {
 }
 
 // TestPropertyAssignInstancesPartition: every input message lands in
-// exactly one instance, and instance order preserves message order.
+// exactly one instance, and instance order preserves message order. One
+// Assigner serves every check, as it serves every run of a worker.
 func TestPropertyAssignInstancesPartition(t *testing.T) {
+	var a Assigner
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		count := int(n%24) + 1
-		msgs := make([]*extract.Message, count)
+		msgs := make([]*extract.Proto, count)
 		for i := range msgs {
 			ids := map[string][]string{}
 			if rng.Intn(3) > 0 {
 				typ := []string{"TASK", "STAGE", "FETCHER"}[rng.Intn(3)]
 				ids[typ] = []string{[]string{"a", "b", "c", "d"}[rng.Intn(4)]}
 			}
-			msgs[i] = &extract.Message{KeyID: rng.Intn(5), Identifiers: ids}
+			msgs[i] = msg(rng.Intn(5), ids)
 		}
-		instances := AssignInstances(msgs)
+		instances := a.Assign(msgs)
 		total := 0
-		seen := map[*extract.Message]bool{}
+		seen := map[*extract.Proto]bool{}
 		for _, in := range instances {
 			prevIdx := -1
 			for _, m := range in.Msgs {
@@ -122,7 +124,7 @@ func TestPropertyAssignInstancesPartition(t *testing.T) {
 	}
 }
 
-func indexOfMsg(msgs []*extract.Message, m *extract.Message) int {
+func indexOfMsg(msgs []*extract.Proto, m *extract.Proto) int {
 	for i, x := range msgs {
 		if x == m {
 			return i
@@ -154,7 +156,7 @@ func TestPropertyGraphPlacement(t *testing.T) {
 		}
 		b := NewBuilder(keys)
 		for s := 0; s < 4; s++ {
-			var msgs []*extract.Message
+			var msgs []*extract.Proto
 			for i := 0; i < 8; i++ {
 				msgs = append(msgs, msg(rng.Intn(4), nil))
 			}

@@ -19,10 +19,11 @@ import (
 // sets live in bitsets over run-scoped dense value IDs and the type set
 // in a small sorted slice — no per-instance maps.
 type Instance struct {
-	// Msgs holds the instance's messages in log order.
-	Msgs []*extract.Message
+	// Msgs holds the instance's messages, as their renderings'
+	// prototypes, in log order.
+	Msgs []*extract.Proto
 
-	// ord is the instance's creation rank within one AssignInstances run;
+	// ord is the instance's creation rank within one Assign run;
 	// ties between candidate instances resolve to the earliest-created
 	// one, matching the in-order scan of Algorithm 2.
 	ord int
@@ -31,9 +32,9 @@ type Instance struct {
 	bits []uint64
 	nIDs int
 	// types is the sorted distinct identifier types. When typesShared is
-	// set it aliases a Message's cached IdentifierTypes slice (the common
-	// case: every message of an instance carries the same type set) and
-	// must be copied before mutation. typesBuf is the instance's private
+	// set it aliases a key's shared type set (the common case: every
+	// message of an instance carries the same type set) and must be
+	// copied before mutation. typesBuf is the instance's private
 	// merge buffer for that copy, retained across Assigner recycling so
 	// mixed-type instances stop allocating once the pool is warm.
 	types       []string
@@ -41,12 +42,12 @@ type Instance struct {
 	typesShared bool
 	// sig caches Signature once computed (sigOK distinguishes a cached ""
 	// from an uncomputed one). Instances whose types come whole from one
-	// message inherit the message's cached join, so the common case never
-	// builds the string at all.
+	// key inherit the key's join, so the common case never builds the
+	// string at all.
 	sig   string
 	sigOK bool
 	// vals is the run's dense-ID → value table, shared by every instance
-	// of one AssignInstances call (for IDValues).
+	// of one Assign run (for IDValues).
 	vals []string
 }
 
@@ -91,28 +92,18 @@ func (in *Instance) Signature() string {
 	return in.sig
 }
 
-// AssignInstances implements the per-session loop of Algorithm 2: messages
-// with no identifiers accumulate in the NONE instance; a message whose
-// identifier set is a subset or superset of an existing instance's set
-// joins (and widens) that instance; otherwise it founds a new instance.
-// The result stays valid indefinitely; hot paths that consume instances
-// before assigning again should hold an Assigner instead.
-func AssignInstances(msgs []*extract.Message) []*Instance {
-	return new(Assigner).Assign(msgs)
-}
-
-// Assigner runs AssignInstances with reusable scratch state. Training and
-// detection call Algorithm 2 once per (session, group) pair — tens of
-// thousands of short runs — and the per-run value tables and instance
-// structs dominated the allocation profile, so an Assigner keeps them
-// across runs. Identifier values arrive hashed on the messages
-// (extract.IDValue, cached per distinct rendering); each run maps hash →
+// Assigner runs the per-session loop of Algorithm 2 with reusable scratch
+// state. Training and detection call Algorithm 2 once per (session,
+// group) pair — tens of thousands of short runs — and the per-run value
+// tables and instance structs dominated the allocation profile, so an
+// Assigner keeps them across runs. Identifier values arrive hashed on the
+// prototypes (extract.IDValue, built once per distinct rendering); each run maps hash →
 // run-dense id through a small open-addressing table the Assigner owns,
 // confirming the string on a hash match, so the hot loop hashes no
 // string, takes no lock and shares nothing. Every structure here is sized
 // by the widest run seen, never by the stream. The returned instances
 // (and their IDValues) are only valid until the next Assign call on the
-// same Assigner; callers that retain instances must use AssignInstances.
+// same Assigner.
 type Assigner struct {
 	// runID stamps the table slots the current run wrote; slots carrying
 	// any other stamp read as empty, so starting a run clears nothing.
@@ -206,15 +197,18 @@ func (a *Assigner) newInstance(ord int) *Instance {
 	return in
 }
 
-// Assign is AssignInstances over the reusable scratch. Instead of
-// scanning every instance per message, byValue indexes instances by the
-// identifier values they contain. Any subset-related instance shares at
-// least one value with the message's (non-empty) set — set ⊆ IDs puts
-// every set value in IDs, and IDs ⊆ set the reverse — so the union of the
-// per-value lists is a complete candidate set, and the earliest-created
-// subset-related candidate is exactly the instance the in-order scan
-// would have picked first.
-func (a *Assigner) Assign(msgs []*extract.Message) []*Instance {
+// Assign splits one run of messages into instances: messages with no
+// identifiers accumulate in the NONE instance; a message whose
+// identifier set is a subset or superset of an existing instance's set
+// joins (and widens) that instance; otherwise it founds a new instance.
+// Instead of scanning every instance per message, byValue indexes
+// instances by the identifier values they contain. Any subset-related
+// instance shares at least one value with the message's (non-empty) set
+// — set ⊆ IDs puts every set value in IDs, and IDs ⊆ set the reverse —
+// so the union of the per-value lists is a complete candidate set, and
+// the earliest-created subset-related candidate is exactly the instance
+// the in-order scan would have picked first.
+func (a *Assigner) Assign(msgs []*extract.Proto) []*Instance {
 	a.runID++
 	if a.runID == 0 {
 		// The stamp wrapped: slots from 2^32 runs ago would read as live.
@@ -232,18 +226,18 @@ func (a *Assigner) Assign(msgs []*extract.Message) []*Instance {
 	instances := append(a.instances, none)
 	// Consecutive-duplicate fast path: session streams repeat the same
 	// rendering back-to-back (heartbeats, retry storms), and repeats share
-	// one prototype Message pointer. Immediately after m was assigned to
+	// one prototype pointer. Immediately after m was assigned to
 	// lastTarget, every one of m's values is in lastTarget and no other
 	// instance has changed, so the scan would pick lastTarget again; the
 	// repeat reduces to one append.
-	var lastMsg *extract.Message
+	var lastMsg *extract.Proto
 	var lastTarget *Instance
 	for _, m := range msgs {
 		if m == lastMsg {
 			lastTarget.Msgs = append(lastTarget.Msgs, m)
 			continue
 		}
-		ivs := m.IdentifierValues()
+		ivs := m.Values()
 		if len(ivs) == 0 {
 			none.Msgs = append(none.Msgs, m)
 			lastMsg, lastTarget = m, none
@@ -290,22 +284,22 @@ func (a *Assigner) Assign(msgs []*extract.Message) []*Instance {
 }
 
 // mergeTypes folds m's identifier-type set into target's, preserving the
-// shared-slice fast path: a fresh instance aliases the message's cached
-// set (and its cached signature join); a genuine merge copies into the
-// instance's retained buffer first.
-func (a *Assigner) mergeTypes(target *Instance, m *extract.Message) {
-	if mts := m.IdentifierTypes(); target.types == nil {
+// shared-slice fast path: a fresh instance aliases the key's type set
+// (and its signature join); a genuine merge copies into the instance's
+// retained buffer first.
+func (a *Assigner) mergeTypes(target *Instance, m *extract.Proto) {
+	if mts := m.Types(); target.types == nil {
 		target.types = mts
 		target.typesShared = true
-		// Inherit the message's cached signature join — built once per
-		// distinct rendering instead of once per instance.
-		target.sig = m.TypeSignature()
+		// Inherit the key's signature join — built once per key instead
+		// of once per instance.
+		target.sig = m.Signature()
 		target.sigOK = true
 	} else if !sameStrings(target.types, mts) {
 		if target.typesShared {
 			// Copy into the instance's retained merge buffer rather than
-			// a fresh slice; the shared (message-cached) set itself is
-			// never mutated.
+			// a fresh slice; the key's shared set itself is never
+			// mutated.
 			target.types = append(target.typesBuf[:0], target.types...)
 			target.typesShared = false
 		}
@@ -318,7 +312,7 @@ func (a *Assigner) mergeTypes(target *Instance, m *extract.Message) {
 }
 
 // sameStrings reports whether a and b hold the same sequence. Instance
-// type sets usually alias the same cached slice, so identical backing
+// type sets usually alias the same key's slice, so identical backing
 // arrays short-circuit before any comparison.
 func sameStrings(a, b []string) bool {
 	if len(a) != len(b) {

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"strings"
 	"sync"
 	"time"
@@ -679,4 +680,20 @@ func (s *Server) registerGauges() {
 	s.reg.GaugeFunc("intellogd_heap_alloc_bytes",
 		"bytes of allocated heap objects, live and not yet swept garbage alike (runtime.MemStats.HeapAlloc)",
 		func() []metrics.Sample { return one(float64(memstats().HeapAlloc)) })
+	// The live heap and the collector's goal come from runtime/metrics,
+	// whose reads stop no goroutine: live is what the last cycle marked,
+	// which HeapAlloc mixes with unswept garbage.
+	heapGauge := func(name string) func() []metrics.Sample {
+		return func() []metrics.Sample {
+			rs := []rtmetrics.Sample{{Name: name}}
+			rtmetrics.Read(rs)
+			return one(float64(rs[0].Value.Uint64()))
+		}
+	}
+	s.reg.GaugeFunc("intellogd_heap_live_bytes",
+		"heap bytes the last garbage collection marked live (runtime/metrics /gc/heap/live:bytes)",
+		heapGauge("/gc/heap/live:bytes"))
+	s.reg.GaugeFunc("intellogd_heap_goal_bytes",
+		"heap size the collector paces the current cycle to end at (runtime/metrics /gc/heap/goal:bytes)",
+		heapGauge("/gc/heap/goal:bytes"))
 }

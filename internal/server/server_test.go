@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -427,6 +429,48 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics scrape missing %q", want)
 		}
+	}
+}
+
+// TestMetricsHeapGauges: /metrics carries the live heap and the GC's
+// heap goal, read through runtime/metrics, with 0 < live ≤ goal once a
+// collection has run.
+func TestMetricsHeapGauges(t *testing.T) {
+	modelDir := t.TempDir()
+	saveSparkModel(t, modelDir, "acme")
+	s, err := New(Config{ModelDir: modelDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	runtime.GC()
+	text, err := (&Client{Base: hs.URL, Tenant: "acme"}).Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := func(name string) float64 {
+		t.Helper()
+		if !strings.Contains(text, "# TYPE "+name+" gauge\n") {
+			t.Fatalf("/metrics does not export %s as a gauge", name)
+		}
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("/metrics has no %s sample", name)
+		return 0
+	}
+	live, goal := gauge("intellogd_heap_live_bytes"), gauge("intellogd_heap_goal_bytes")
+	if live <= 0 || live > goal {
+		t.Errorf("heap live %.0f B, goal %.0f B: want 0 < live ≤ goal", live, goal)
 	}
 }
 

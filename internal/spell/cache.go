@@ -64,9 +64,12 @@ type cacheEntry struct {
 // distinct renderings cover the working set of every corpus in the
 // evaluation with room to spare. The cache's own share of an entry is
 // ≈ 75 B: a 48 B slot, ≈ 27 B of map and one doorkeeper byte. Measured
-// with the detector's memo (an HDFS rendering with two identifiers and
-// its Algorithm-2 prototype), an entry holds ≈ 525 B of live heap plus
-// the message text, so a full cache is ≈ 34 MB plus the text.
+// with the detector's memo of a matched rendering (its Algorithm-2
+// prototype), over the distinct renderings of bench's seed-2 HDFS and
+// Spark epochs (≈ 42k each, 1.17 and 2.2 identifiers on average), an
+// entry holds ≈ 235 B (HDFS) and ≈ 285 B (Spark) of live heap, map and
+// slot growth included, plus the message text: a full cache is
+// ≈ 15–19 MB plus the text.
 const DefaultLookupCacheSize = 1 << 16
 
 // doorSeed hashes renderings into every cache's doorkeeper. It is drawn
